@@ -237,12 +237,49 @@ pub struct OverloadPolicy {
 }
 
 impl OverloadPolicy {
-    /// True when every mechanism is at its degenerate default, i.e. the
-    /// dispatch pre-pass is guaranteed to reproduce the PR 9 path.
-    pub fn is_degenerate(&self) -> bool {
-        self.admission == AdmissionPolicy::AcceptAll
-            && self.retry == RetryPolicy::default()
-            && self.hedge.is_disabled()
+    /// Check every knob lies in its documented range; the dispatch
+    /// pre-pass calls this on entry, in release builds too. Each bad
+    /// input would otherwise degrade silently: a NaN floor rejects every
+    /// arrival, an out-of-range hedge fraction never hedges.
+    ///
+    /// # Panics
+    ///
+    /// On the first knob out of range, naming it.
+    pub fn validate(&self) {
+        if let AdmissionPolicy::SlackFloor {
+            floor,
+            capacity_ghz,
+        } = self.admission
+        {
+            assert!(!floor.is_nan(), "slack floor must not be NaN");
+            assert!(
+                capacity_ghz > 0.0 && capacity_ghz.is_finite(),
+                "capacity_ghz must be positive and finite, got {capacity_ghz}"
+            );
+        }
+        if let AdmissionPolicy::Backpressure { cap, resume } = self.admission {
+            assert!(
+                resume <= cap,
+                "backpressure resume {resume} must not exceed cap {cap}"
+            );
+        }
+        let RetryPolicy {
+            backoff, jitter, ..
+        } = self.retry;
+        assert!(
+            (0.0..1.0).contains(&jitter),
+            "jitter must be in [0, 1), got {jitter}"
+        );
+        assert!(
+            backoff.is_finite(),
+            "retry backoff must be finite, got {backoff}"
+        );
+        if let HedgePolicy::SlackFraction { fraction } = self.hedge {
+            assert!(
+                fraction > 0.0 && fraction < 1.0,
+                "hedge fraction must be in (0, 1), got {fraction}"
+            );
+        }
     }
 }
 
@@ -251,9 +288,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_is_degenerate() {
+    fn default_policy_labels() {
         let p = OverloadPolicy::default();
-        assert!(p.is_degenerate());
         assert_eq!(p.admission.label(), "accept-all");
         assert_eq!(p.hedge.label(), "no-hedge");
     }

@@ -3,9 +3,9 @@
 //! The paper evaluates DES on a single 16-core machine; a service with
 //! "heavy traffic from millions of users" runs many such machines behind
 //! a dispatcher. This module scales the *simulation itself* across
-//! machines: [`route`] splits a single release-ordered arrival stream
-//! over `N` shards under a pluggable [`RoutingPolicy`], and
-//! [`ClusterEngine`] runs one independent per-shard simulation (the
+//! machines: [`dispatch_protected`] splits a single release-ordered
+//! arrival stream over `N` shards under a pluggable [`RoutingPolicy`],
+//! and [`ClusterEngine`] runs one independent per-shard simulation (the
 //! unmodified `qes-sim` engine with its own policy instance) per shard,
 //! fanning the shards out on the rayon thread pool and merging the
 //! per-shard [`SimReport`]s into a cluster-level [`ClusterReport`].
@@ -28,15 +28,20 @@
 //! (once a slack fraction elapses, dispatch a second copy to the
 //! next-best healthy shard; the first copy to finish wins, the loser is
 //! charged to energy but not quality). The default
-//! [`OverloadPolicy`] degenerates to the PR 9 path by construction.
+//! [`OverloadPolicy`] — accept all, flat unlimited retries, no hedging
+//! — routes exactly like an unprotected front end.
 //!
 //! # Determinism contract
 //!
 //! * **Routing is a sequential pre-pass.** Shard assignment — and all
 //!   fault handling: stranding, retry re-release, dropping — is computed
-//!   by one in-order scan of the merged (arrivals ∪ retries ∪ crash
-//!   instants) event stream before any simulation starts, so it cannot
-//!   depend on thread scheduling.
+//!   by one in-order scan of a single event queue before any simulation
+//!   starts, so it cannot depend on thread scheduling. Original
+//!   arrivals come from the release-sorted stream; crashes, retries and
+//!   hedges wait in one heap. Every event is keyed `(instant µs, class
+//!   rank, tie, job id)` with ranks crash 0 < arrival 1 < retry 2 <
+//!   hedge 3; `tie` is the shard for a crash and the deadline for a
+//!   retry or hedge.
 //! * **Lane count is unobservable.** Per-shard simulations are pure
 //!   functions of (shard job set, fault epochs, policy, machine config);
 //!   the rayon shim's `collect()` returns them in shard order, so a run
@@ -45,8 +50,8 @@
 //! * **Zero faults ≡ the fault-free path.** Under
 //!   [`FaultPlan::none`] every query degenerates (all shards eligible,
 //!   one healthy epoch per shard), and each construct is written so the
-//!   degenerate case is the PR 8 code path *by construction* — the
-//!   reports are bitwise identical across the routing matrix.
+//!   degenerate case is the fault-free code path *by construction* —
+//!   the reports are bitwise identical across the routing matrix.
 //! * **One shard degenerates to the plain engine.** With `N = 1` every
 //!   job lands on shard 0 and the merged report is the shard's report —
 //!   bitwise, including every counter.
@@ -89,17 +94,17 @@
 //!   toward the lowest index. With no faults this is least-pending-work
 //!   routing; under brownouts it sheds load away from degraded shards.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
-/// One hedged job's `(id, processed, quality)` as observed on a shard,
-/// fed to the first-wins duel settlement in the merge.
-type DuelOutcome = (u32, f64, f64);
+/// One shard's duelling jobs, `id → (processed, quality)`, fed to the
+/// first-wins duel settlement in the merge.
+type DuelOutcomes = BTreeMap<u32, (f64, f64)>;
 
 use qes_core::job::{Job, JobId, JobSet};
 use qes_core::obs::{Event, NoopObserver, Observer, OutageKind};
 use qes_core::power::PowerModel;
-use qes_core::quality::{ExpQuality, QualityFunction};
+use qes_core::quality::QualityFunction;
 use qes_core::time::SimTime;
 use qes_core::MetricsRegistry;
 use qes_multicore::SchedulingPolicy;
@@ -110,7 +115,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use crate::admission::{AdmissionPolicy, HedgePolicy, OverloadPolicy, RetryPolicy};
+use crate::admission::{AdmissionPolicy, HedgePolicy, OverloadPolicy};
 use crate::fault::{effective_cores, FaultKind, FaultPlan};
 use crate::meter::PowerMeter;
 
@@ -181,11 +186,7 @@ type InFlight = VecDeque<(u64, f64, u32)>;
 fn probe_speed(window: &InFlight, now_us: u64, candidate: Option<(u64, f64)>) -> f64 {
     let mut cum = 0.0;
     let mut speed = 0.0f64;
-    for &(d_us, w, _) in window {
-        cum += w;
-        speed = speed.max(cum * 1000.0 / d_us.saturating_sub(now_us).max(1) as f64);
-    }
-    if let Some((d_us, w)) = candidate {
+    for (d_us, w) in window.iter().map(|&(d, w, _)| (d, w)).chain(candidate) {
         cum += w;
         speed = speed.max(cum * 1000.0 / d_us.saturating_sub(now_us).max(1) as f64);
     }
@@ -196,6 +197,16 @@ fn probe_speed(window: &InFlight, now_us: u64, candidate: Option<(u64, f64)>) ->
 /// depth" a shard reports to [`RoutingPolicy::Feedback`].
 fn pending_demand(window: &InFlight) -> f64 {
     window.iter().map(|&(_, w, _)| w).sum()
+}
+
+/// The candidate with the smallest `key`, the first one on ties. Each
+/// key is computed once; `total_cmp` is a total order (NaN sorts above
+/// +inf), so even a degenerate key yields a deterministic choice.
+fn argmin(candidates: impl Iterator<Item = usize>, key: impl Fn(usize) -> f64) -> Option<usize> {
+    candidates
+        .map(|s| (s, key(s)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(s, _)| s)
 }
 
 /// One hedge dispatch: a second copy of a slow job sent to another
@@ -220,8 +231,7 @@ pub struct HedgeRecord {
     pub duel: bool,
 }
 
-/// The outcome of the fault-aware dispatch pre-pass
-/// ([`dispatch_with_faults`] / [`dispatch_protected`]).
+/// The outcome of the dispatch pre-pass ([`dispatch_protected`]).
 #[derive(Clone, Debug)]
 pub struct DispatchPlan {
     /// Final per-shard job streams: original arrivals plus surviving
@@ -259,15 +269,34 @@ pub struct DispatchPlan {
     pub events: Vec<(SimTime, Event)>,
 }
 
-/// Mutable routing state shared by every arrival of the dispatch scan.
+/// Event classes of the dispatch scan. The derived order is the
+/// same-instant rank: crash 0 < arrival 1 < retry 2 < hedge 3.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Class {
+    Crash,
+    Arrival,
+    Retry,
+    Hedge,
+}
+
+/// A queued dispatch event `(instant µs, class, tie, job id, shard,
+/// slot)`. The first four fields are unique per event and fix the pop
+/// order; `(shard, slot)` locate the copy a retry re-releases or a
+/// hedge duplicates (a crash carries its shard in both `tie` and
+/// `shard`).
+type Queued = (u64, Class, u64, u32, usize, u32);
+
+/// Mutable routing state shared by every event of the dispatch scan.
 struct Router<'a> {
     routing: &'a RoutingPolicy,
     model: &'a dyn PowerModel,
     plan: &'a FaultPlan,
     quality: &'a dyn QualityFunction,
     admission: &'a AdmissionPolicy,
-    shards: usize,
     inflight: Vec<InFlight>,
+    /// Shards outside a crash window at the last [`Router::retire`]
+    /// instant, ascending.
+    eligible: Vec<usize>,
     /// Per-shard routed-job stream (in routing order) and whether each
     /// entry is still alive (not stranded by a later crash).
     streams: Vec<Vec<Job>>,
@@ -282,28 +311,34 @@ struct Router<'a> {
 }
 
 impl Router<'_> {
-    /// Retire expired in-flight entries everywhere, so counts and
-    /// probes see only live work. Windows are deadline-FIFO.
-    fn retire(&mut self, now_us: u64) {
+    /// Advance to `now`: retire expired in-flight entries everywhere,
+    /// so counts and probes see only live work (windows are
+    /// deadline-FIFO), and refill [`Router::eligible`].
+    fn retire(&mut self, now: SimTime) {
+        let now_us = now.as_micros();
         for w in &mut self.inflight {
             while w.front().is_some_and(|&(d, _, _)| d <= now_us) {
                 w.pop_front();
             }
         }
+        let (plan, shards) = (self.plan, self.inflight.len());
+        self.eligible.clear();
+        self.eligible
+            .extend((0..shards).filter(|&s| !plan.is_crashed(s, now)));
     }
 
-    /// Shards accepting work at `now` (not inside a crash window).
-    fn eligible_at(&self, now: SimTime) -> Vec<usize> {
-        (0..self.shards)
-            .filter(|&s| !self.plan.is_crashed(s, now))
-            .collect()
+    /// Feedback score of `shard` at `now`: pending in-flight demand ÷
+    /// capacity fraction, so a shard at half capacity looks twice as
+    /// deep.
+    fn depth(&self, shard: usize, now: SimTime) -> f64 {
+        pending_demand(&self.inflight[shard]) / self.plan.capacity_fraction(shard, now)
     }
 
     /// Overload-admission verdict for one *original* arrival (retries
     /// and hedge copies always bypass admission). Call after
-    /// [`Router::retire`] so windows reflect only live work. Updates
-    /// the backpressure hysteresis state as a side effect.
-    fn admits(&mut self, job: &Job, eligible: &[usize]) -> bool {
+    /// [`Router::retire`] found an eligible shard. Updates the
+    /// backpressure hysteresis state as a side effect.
+    fn admits(&mut self, job: &Job) -> bool {
         let now = job.release;
         let now_us = now.as_micros();
         match *self.admission {
@@ -320,7 +355,7 @@ impl Router<'_> {
                 }
                 let cand = (job.deadline.as_micros(), job.demand);
                 let mut best = 0.0f64;
-                for &s in eligible {
+                for &s in &self.eligible {
                     // Required speed to clear this shard's window plus
                     // the candidate; the shard can deliver at most its
                     // (fault-degraded) capacity, so the achievable
@@ -338,9 +373,8 @@ impl Router<'_> {
                 best >= floor
             }
             AdmissionPolicy::Backpressure { cap, resume } => {
-                debug_assert!(resume <= cap, "hysteresis band inverted");
-                for s in 0..self.shards {
-                    let depth = pending_demand(&self.inflight[s]);
+                for (s, w) in self.inflight.iter().enumerate() {
+                    let depth = pending_demand(w);
                     if self.shedding[s] {
                         if depth <= resume {
                             self.shedding[s] = false;
@@ -349,30 +383,32 @@ impl Router<'_> {
                         self.shedding[s] = true;
                     }
                 }
-                !eligible.iter().all(|&s| self.shedding[s])
+                !self.eligible.iter().all(|&s| self.shedding[s])
             }
         }
     }
 
-    /// Route one arrival (original or retry) at its release instant.
-    /// Returns the chosen shard, or `None` when every shard is crashed.
-    fn admit(&mut self, job: Job) -> Option<usize> {
-        let now = job.release;
-        let now_us = now.as_micros();
-        self.retire(now_us);
-        let eligible = self.eligible_at(now);
-        if eligible.is_empty() {
+    /// Route one arrival (original or retry) among the shards
+    /// [`Router::retire`] found eligible at its release, and place it.
+    /// Returns `(shard, slot)`, or `None` when every shard is crashed.
+    fn admit(&mut self, job: Job) -> Option<(usize, u32)> {
+        if self.eligible.is_empty() {
             return None;
         }
+        let now = job.release;
+        let now_us = now.as_micros();
+        let eligible = self.eligible.iter().copied();
         let shard = match self.routing {
             RoutingPolicy::RoundRobin => {
                 // First eligible shard at or after the cursor,
                 // cyclically; with no faults this is the plain cursor.
-                let s = (0..self.shards)
-                    .map(|k| (self.rr + k) % self.shards)
-                    .find(|s| !self.plan.is_crashed(*s, now))
-                    .expect("eligible set is non-empty");
-                self.rr = (s + 1) % self.shards;
+                let s = self
+                    .eligible
+                    .iter()
+                    .copied()
+                    .find(|&s| s >= self.rr)
+                    .unwrap_or(self.eligible[0]);
+                self.rr = (s + 1) % self.inflight.len();
                 s
             }
             RoutingPolicy::Random { .. } => {
@@ -381,59 +417,27 @@ impl Router<'_> {
                     .as_mut()
                     .expect("random routing carries an rng")
                     .gen();
-                eligible[((u * eligible.len() as f64) as usize).min(eligible.len() - 1)]
+                let n = self.eligible.len();
+                self.eligible[((u * n as f64) as usize).min(n - 1)]
             }
-            RoutingPolicy::Jsq => {
-                // Strict `<` keeps the lowest index on ties.
-                let mut best = eligible[0];
-                for &s in &eligible[1..] {
-                    if self.inflight[s].len() < self.inflight[best].len() {
-                        best = s;
-                    }
-                }
-                best
-            }
+            RoutingPolicy::Jsq => argmin(eligible, |s| self.inflight[s].len() as f64)?,
             RoutingPolicy::LeastEnergy => {
-                let cand = (job.deadline.as_micros(), job.demand);
-                let delta = |s: usize| {
+                let cand = Some((job.deadline.as_micros(), job.demand));
+                argmin(eligible, |s| {
                     let w = &self.inflight[s];
                     let before = self.model.dynamic_power(probe_speed(w, now_us, None));
-                    let after = self.model.dynamic_power(probe_speed(w, now_us, Some(cand)));
+                    let after = self.model.dynamic_power(probe_speed(w, now_us, cand));
                     after - before
-                };
-                // total_cmp gives a total order (NaN sorts above +inf),
-                // so a degenerate power model still yields the
-                // documented lowest-index tie-break deterministically.
-                let mut best = eligible[0];
-                let mut best_delta = delta(best);
-                for &s in &eligible[1..] {
-                    let d = delta(s);
-                    if d.total_cmp(&best_delta) == Ordering::Less {
-                        best_delta = d;
-                        best = s;
-                    }
-                }
-                best
+                })?
             }
-            RoutingPolicy::Feedback => {
-                // Queue depth ÷ available capacity: a shard at half
-                // capacity looks twice as deep. Crashed shards are
-                // already excluded from `eligible`.
-                let score = |s: usize| {
-                    pending_demand(&self.inflight[s]) / self.plan.capacity_fraction(s, now)
-                };
-                let mut best = eligible[0];
-                let mut best_score = score(best);
-                for &s in &eligible[1..] {
-                    let sc = score(s);
-                    if sc.total_cmp(&best_score) == Ordering::Less {
-                        best_score = sc;
-                        best = s;
-                    }
-                }
-                best
-            }
+            RoutingPolicy::Feedback => argmin(eligible, |s| self.depth(s, now))?,
         };
+        Some((shard, self.place(shard, job)))
+    }
+
+    /// Append `job` to `shard`'s stream and to its deadline-sorted
+    /// window; returns the job's stream slot.
+    fn place(&mut self, shard: usize, job: Job) -> u32 {
         let slot = self.streams[shard].len() as u32;
         self.streams[shard].push(job);
         self.alive[shard].push(true);
@@ -443,58 +447,32 @@ impl Router<'_> {
         // For an agreeable stream with no retries this is the back.
         let pos = w.partition_point(|&(d, _, _)| d <= d_us);
         w.insert(pos, (d_us, job.demand, slot));
-        Some(shard)
+        slot
     }
 }
 
 /// Assign every job of the release-sorted stream to a shard, under a
-/// fault plan, with stranded-job failover.
+/// fault plan and an overload-protection policy.
 ///
-/// This is [`dispatch_protected`] under the default [`OverloadPolicy`]
-/// — accept everything, retry forever at the plan's fixed delay, never
-/// hedge — which degenerates to the PR 9 fault-failover pre-pass by
-/// construction: `rejected` and `hedges` stay empty and every retry
-/// re-release lands at exactly `crash + retry_delay`. The quality
-/// function is never consulted under [`AdmissionPolicy::AcceptAll`].
-/// Conservation: `routed(shard streams) + dropped = arrivals`.
-pub fn dispatch_with_faults(
-    jobs: &JobSet,
-    shards: usize,
-    routing: &RoutingPolicy,
-    model: &dyn PowerModel,
-    plan: &FaultPlan,
-    end: SimTime,
-) -> DispatchPlan {
-    dispatch_protected(
-        jobs,
-        shards,
-        routing,
-        model,
-        &ExpQuality::PAPER_DEFAULT,
-        plan,
-        &OverloadPolicy::default(),
-        end,
-    )
-}
-
-/// Assign every job of the release-sorted stream to a shard, under a
-/// fault plan *and* an overload-protection policy.
-///
-/// A deterministic sequential pre-pass over the merged event stream of
-/// original arrivals, retry re-releases, crash instants, and hedge fire
-/// instants (ties resolve crash → arrival → retry → hedge). On top of
-/// the fault-failover semantics of [`dispatch_with_faults`]:
+/// A deterministic sequential pre-pass over one event queue (order and
+/// ranks in the module docs). Crashed shards are never eligible; an
+/// arrival that finds every shard crashed is dropped. A crash strands
+/// every copy still in the crashed shard's in-flight window. On top of
+/// that:
 ///
 /// * **Admission** (`overload.admission`): each *original* arrival is
 ///   screened before routing; a rejected job gets assignment
 ///   `u32::MAX` and lands in `rejected` (never `dropped` — the two
 ///   classes stay disjoint). Retries and hedge copies bypass
-///   admission: the cluster has already invested in them.
+///   admission: the cluster has already invested in them. The quality
+///   function is consulted only by [`AdmissionPolicy::SlackFloor`].
 /// * **Retry budget** (`overload.retry`): a stranded copy's attempt
 ///   counter increments per strand; past `max_attempts` it gives up
 ///   into `dropped`. Otherwise it re-releases after
-///   [`RetryPolicy::delay_for`] (exponential backoff, seeded jitter),
-///   keeping its original deadline.
+///   [`RetryPolicy::delay_for`](crate::admission::RetryPolicy::delay_for)
+///   (the plan's fixed delay by default; exponential backoff, seeded
+///   jitter), keeping its original deadline; a re-release at or past
+///   the deadline, or past `end`, is dropped instead.
 /// * **Hedging** (`overload.hedge`): when an original is routed and
 ///   the slack-fraction instant lands strictly inside `(release,
 ///   deadline)` and before the horizon, a hedge copy fires at that
@@ -507,6 +485,11 @@ pub fn dispatch_with_faults(
 ///
 /// Conservation: `routed(shard streams) + dropped + rejected =
 /// arrivals + duels`.
+///
+/// # Panics
+///
+/// On zero shards, a plan covering a different shard count, or an
+/// invalid overload policy ([`OverloadPolicy::validate`]).
 #[allow(clippy::too_many_arguments)]
 pub fn dispatch_protected(
     jobs: &JobSet,
@@ -520,17 +503,16 @@ pub fn dispatch_protected(
 ) -> DispatchPlan {
     assert!(shards > 0, "a cluster needs at least one shard");
     assert_eq!(plan.shards(), shards, "fault plan must cover every shard");
-    let retry_policy = &overload.retry;
+    overload.validate();
     let hedging = !overload.hedge.is_disabled();
-    let screened = !matches!(overload.admission, AdmissionPolicy::AcceptAll);
     let mut router = Router {
         routing,
         model,
         plan,
         quality,
         admission: &overload.admission,
-        shards,
         inflight: vec![InFlight::new(); shards],
+        eligible: Vec::with_capacity(shards),
         streams: vec![Vec::new(); shards],
         alive: vec![Vec::new(); shards],
         shedding: vec![false; shards],
@@ -541,30 +523,22 @@ pub fn dispatch_protected(
         },
     };
 
-    let stored: Vec<Job> = jobs.iter().copied().collect();
-    let crash_events: Vec<(SimTime, usize)> = plan
+    let mut arrivals = jobs.iter().copied().peekable();
+    let mut queue: BinaryHeap<Reverse<Queued>> = plan
         .crash_starts()
         .into_iter()
         .filter(|&(t, _)| t < end)
+        .map(|(t, s)| Reverse((t.as_micros(), Class::Crash, s as u64, 0, s, 0)))
         .collect();
-    let mut crash_idx = 0usize;
-    let mut next_orig = 0usize;
-    // Retries keyed by (release, deadline, id), valued with the job's
-    // attempt number: BTreeMap order is the deterministic re-release
-    // order.
-    let mut retries: BTreeMap<(u64, u64, u32), (Job, u32)> = BTreeMap::new();
     // Strand count per original job id (the retry budget's meter).
     let mut attempts: BTreeMap<u32, u32> = BTreeMap::new();
-    // Scheduled hedge fires keyed by (fire, deadline, id), valued with
-    // the job and its primary copy's location.
-    let mut hedges_pending: BTreeMap<(u64, u64, u32), (Job, usize, u32)> = BTreeMap::new();
     // Live copy locations per job id — maintained only while hedging
     // (the invariant "at most one alive copy per (id, shard)" holds
     // because hedge targets always differ from the primary shard and
     // retries fire only when no copy is alive).
     let mut copies: BTreeMap<u32, Vec<(usize, u32)>> = BTreeMap::new();
 
-    let mut assignment: Vec<u32> = Vec::with_capacity(stored.len());
+    let mut assignment: Vec<u32> = Vec::with_capacity(jobs.len());
     let mut dropped: Vec<(SimTime, Job)> = Vec::new();
     let mut rejected: Vec<(SimTime, Job)> = Vec::new();
     let mut redispatches: Vec<(SimTime, JobId, u32)> = Vec::new();
@@ -572,57 +546,64 @@ pub fn dispatch_protected(
     let mut hedges: Vec<HedgeRecord> = Vec::new();
     let mut events: Vec<(SimTime, Event)> = Vec::new();
 
-    enum Step {
-        Crash,
-        Orig,
-        Retry,
-        Hedge,
-    }
     loop {
-        let t_crash = crash_events.get(crash_idx).map(|&(t, _)| t);
-        let t_orig = stored.get(next_orig).map(|j| j.release);
-        let t_retry = retries
-            .keys()
-            .next()
-            .map(|&(r, _, _)| SimTime::from_micros(r));
-        let t_hedge = hedges_pending
-            .keys()
-            .next()
-            .map(|&(h, _, _)| SimTime::from_micros(h));
-        if t_crash.is_none() && t_orig.is_none() && t_retry.is_none() && t_hedge.is_none() {
-            break;
-        }
-        let tc = t_crash.unwrap_or(SimTime::MAX);
-        let to = t_orig.unwrap_or(SimTime::MAX);
-        let tr = t_retry.unwrap_or(SimTime::MAX);
-        let th = t_hedge.unwrap_or(SimTime::MAX);
-        // Tie order crash → arrival → retry → hedge; the `is_some`
-        // guards keep an exhausted stream's MAX sentinel from winning
-        // a MAX-vs-MAX tie.
-        let step = if t_crash.is_some() && tc <= to && tc <= tr && tc <= th {
-            Step::Crash
-        } else if t_orig.is_some() && to <= tr && to <= th {
-            Step::Orig
-        } else if t_retry.is_some() && tr <= th {
-            Step::Retry
-        } else {
-            Step::Hedge
+        let take_arrival = match (arrivals.peek(), queue.peek()) {
+            (None, None) => break,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (Some(j), Some(&Reverse((t, class, ..)))) => {
+                (j.release.as_micros(), Class::Arrival) < (t, class)
+            }
         };
-        match step {
-            Step::Crash => {
-                let (c, shard) = crash_events[crash_idx];
-                crash_idx += 1;
-                let c_us = c.as_micros();
-                let w = &mut router.inflight[shard];
-                // Jobs whose deadlines already passed completed before
-                // the crash; the rest are stranded.
-                while w.front().is_some_and(|&(d, _, _)| d <= c_us) {
-                    w.pop_front();
+        if take_arrival {
+            let job = arrivals.next().expect("cursor checked above");
+            router.retire(job.release);
+            if !router.eligible.is_empty() && !router.admits(&job) {
+                assignment.push(u32::MAX);
+                events.push((
+                    job.release,
+                    Event::AdmissionReject {
+                        job: job.id,
+                        policy: overload.admission.label(),
+                    },
+                ));
+                rejected.push((job.release, job));
+                continue;
+            }
+            let Some((s, slot)) = router.admit(job) else {
+                assignment.push(u32::MAX);
+                dropped.push((job.release, job));
+                continue;
+            };
+            assignment.push(s as u32);
+            if hedging {
+                copies.insert(job.id.0, vec![(s, slot)]);
+                if let HedgePolicy::SlackFraction { fraction } = overload.hedge {
+                    let r_us = job.release.as_micros();
+                    let d_us = job.deadline.as_micros();
+                    let h_us = r_us + ((d_us - r_us) as f64 * fraction) as u64;
+                    // Only hedge when the fire instant lies strictly
+                    // inside the job's window and before the horizon.
+                    if h_us > r_us && h_us < d_us && SimTime::from_micros(h_us) < end {
+                        queue.push(Reverse((h_us, Class::Hedge, d_us, job.id.0, s, slot)));
+                    }
                 }
+            }
+            continue;
+        }
+
+        let Reverse((at_us, class, _, id, shard, slot)) = queue.pop().expect("queue checked above");
+        let at = SimTime::from_micros(at_us);
+        router.retire(at);
+        match class {
+            Class::Crash => {
+                // Retirement left only jobs due after the crash in the
+                // window (the rest completed before it): strand them.
+                let w = &mut router.inflight[shard];
                 for (_, _, slot) in w.drain(..) {
                     let job = router.streams[shard][slot as usize];
                     router.alive[shard][slot as usize] = false;
-                    redispatches.push((c, job.id, shard as u32));
+                    redispatches.push((at, job.id, shard as u32));
                     if hedging {
                         if let Some(locs) = copies.get_mut(&job.id.0) {
                             locs.retain(|&(s, sl)| !(s == shard && sl == slot));
@@ -635,152 +616,87 @@ pub fn dispatch_protected(
                     }
                     let attempt = attempts.entry(job.id.0).or_insert(0);
                     *attempt += 1;
-                    if *attempt > retry_policy.max_attempts {
+                    if *attempt > overload.retry.max_attempts {
                         // Retry budget exhausted: give up cleanly.
-                        dropped.push((c, job));
+                        dropped.push((at, job));
                         continue;
                     }
-                    let delay = retry_policy.delay_for(*attempt, plan.retry_delay(), job.id.0);
-                    let new_release = c + delay;
-                    if new_release >= job.deadline || new_release > end {
-                        dropped.push((c, job));
+                    let delay = overload
+                        .retry
+                        .delay_for(*attempt, plan.retry_delay(), job.id.0);
+                    let release = at + delay;
+                    if release >= job.deadline || release > end {
+                        dropped.push((at, job));
                     } else {
-                        retries.insert(
-                            (new_release.as_micros(), job.deadline.as_micros(), job.id.0),
-                            (
-                                Job {
-                                    release: new_release,
-                                    ..job
-                                },
-                                *attempt,
-                            ),
-                        );
+                        let d_us = job.deadline.as_micros();
+                        queue.push(Reverse((
+                            release.as_micros(),
+                            Class::Retry,
+                            d_us,
+                            job.id.0,
+                            shard,
+                            slot,
+                        )));
                     }
                 }
             }
-            Step::Orig => {
-                let job = stored[next_orig];
-                next_orig += 1;
-                if screened {
-                    router.retire(job.release.as_micros());
-                    let eligible = router.eligible_at(job.release);
-                    if !eligible.is_empty() && !router.admits(&job, &eligible) {
-                        assignment.push(u32::MAX);
-                        events.push((
-                            job.release,
-                            Event::AdmissionReject {
-                                job: job.id,
-                                policy: overload.admission.label(),
-                            },
-                        ));
-                        rejected.push((job.release, job));
-                        continue;
-                    }
-                }
+            Class::Retry => {
+                let job = Job {
+                    release: at,
+                    ..router.streams[shard][slot as usize]
+                };
                 match router.admit(job) {
-                    Some(s) => {
-                        assignment.push(s as u32);
-                        if hedging {
-                            let slot = (router.streams[s].len() - 1) as u32;
-                            copies.insert(job.id.0, vec![(s, slot)]);
-                            if let HedgePolicy::SlackFraction { fraction } = overload.hedge {
-                                let r_us = job.release.as_micros();
-                                let d_us = job.deadline.as_micros();
-                                let h_us = r_us + ((d_us - r_us) as f64 * fraction) as u64;
-                                // Only hedge when the fire instant lies
-                                // strictly inside the job's window and
-                                // before the horizon.
-                                if h_us > r_us && h_us < d_us && SimTime::from_micros(h_us) < end {
-                                    hedges_pending.insert((h_us, d_us, job.id.0), (job, s, slot));
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        assignment.push(u32::MAX);
-                        dropped.push((job.release, job));
-                    }
-                }
-            }
-            Step::Retry => {
-                let (_, (job, attempt)) = retries.pop_first().expect("retry queue is non-empty");
-                match router.admit(job) {
-                    Some(s) => {
+                    Some((s, slot)) => {
                         retried += 1;
+                        let attempt = attempts[&id];
                         events.push((
-                            job.release,
+                            at,
                             Event::Retry {
                                 job: job.id,
                                 attempt,
                             },
                         ));
                         if hedging {
-                            let slot = (router.streams[s].len() - 1) as u32;
-                            copies.insert(job.id.0, vec![(s, slot)]);
+                            copies.insert(id, vec![(s, slot)]);
                         }
                     }
-                    None => dropped.push((job.release, job)),
+                    None => dropped.push((at, job)),
                 }
             }
-            Step::Hedge => {
-                let ((h_us, _, _), (job, p_shard, p_slot)) = hedges_pending
-                    .pop_first()
-                    .expect("hedge queue is non-empty");
-                if !router.alive[p_shard][p_slot as usize] {
+            Class::Hedge => {
+                if !router.alive[shard][slot as usize] {
                     // The primary was stranded before the hedge fired;
                     // the retry path owns the job now.
                     continue;
                 }
-                let at = SimTime::from_micros(h_us);
-                router.retire(h_us);
                 // Next-best healthy shard, excluding the primary's, by
-                // feedback score (pending demand ÷ capacity fraction);
-                // the ascending scan with a strict compare keeps the
-                // lowest index on ties.
-                let mut target: Option<(usize, f64)> = None;
-                for s in 0..shards {
-                    if s == p_shard || plan.is_crashed(s, at) {
-                        continue;
-                    }
-                    let score = pending_demand(&router.inflight[s]) / plan.capacity_fraction(s, at);
-                    let better = match target {
-                        Some((_, best)) => score.total_cmp(&best) == Ordering::Less,
-                        None => true,
-                    };
-                    if better {
-                        target = Some((s, score));
-                    }
-                }
-                let Some((to_shard, _)) = target else {
+                // feedback score.
+                let others = router.eligible.iter().copied().filter(|&s| s != shard);
+                let Some(to) = argmin(others, |s| router.depth(s, at)) else {
                     // No healthy twin shard: skip this hedge.
                     continue;
                 };
-                let copy = Job { release: at, ..job };
-                let slot = router.streams[to_shard].len() as u32;
-                router.streams[to_shard].push(copy);
-                router.alive[to_shard].push(true);
-                let d_us = copy.deadline.as_micros();
-                let w = &mut router.inflight[to_shard];
-                let pos = w.partition_point(|&(d, _, _)| d <= d_us);
-                w.insert(pos, (d_us, copy.demand, slot));
-                copies.entry(job.id.0).or_default().push((to_shard, slot));
+                let job = router.streams[shard][slot as usize];
+                let hedge_slot = router.place(to, Job { release: at, ..job });
+                copies.entry(id).or_default().push((to, hedge_slot));
                 events.push((
                     at,
                     Event::Hedge {
                         job: job.id,
-                        to: to_shard as u32,
+                        to: to as u32,
                     },
                 ));
                 hedges.push(HedgeRecord {
                     at,
                     job,
-                    from: p_shard as u32,
-                    to: to_shard as u32,
-                    primary_slot: p_slot,
-                    hedge_slot: slot,
+                    from: shard as u32,
+                    to: to as u32,
+                    primary_slot: slot,
+                    hedge_slot,
                     duel: false,
                 });
             }
+            Class::Arrival => unreachable!("arrivals come from the release-sorted cursor"),
         }
     }
 
@@ -825,40 +741,6 @@ pub fn dispatch_protected(
         hedges,
         events,
     }
-}
-
-/// Assign every job of the release-sorted stream to a shard (the
-/// fault-free path).
-///
-/// Returns one shard index per job, in the job set's stored
-/// `(release, deadline, id)` order. This is a deterministic sequential
-/// pre-pass: the same stream and routing policy always produce the same
-/// assignment, independent of thread count. `model` prices the
-/// [`RoutingPolicy::LeastEnergy`] probe and is ignored by the other
-/// policies.
-pub fn route(
-    jobs: &JobSet,
-    shards: usize,
-    routing: &RoutingPolicy,
-    model: &dyn PowerModel,
-) -> Vec<u32> {
-    let plan = FaultPlan::none(shards);
-    dispatch_with_faults(jobs, shards, routing, model, &plan, SimTime::MAX).assignment
-}
-
-/// Split a job set into per-shard job sets according to a [`route`]
-/// assignment. Jobs keep their global ids; each shard's subset of an
-/// agreeable stream is agreeable, and re-validation preserves the
-/// relative order (a subsequence of a sorted sequence is sorted).
-pub fn split_jobs(jobs: &JobSet, assignment: &[u32], shards: usize) -> Vec<JobSet> {
-    assert_eq!(jobs.len(), assignment.len(), "one shard per job");
-    let mut per: Vec<Vec<Job>> = vec![Vec::new(); shards];
-    for (job, &s) in jobs.iter().zip(assignment) {
-        per[s as usize].push(*job);
-    }
-    per.into_iter()
-        .map(|v| JobSet::new(v).expect("subset of an agreeable stream is agreeable"))
-        .collect()
 }
 
 /// One shard's outcome inside a [`ClusterReport`].
@@ -995,9 +877,14 @@ impl ClusterReport {
     }
 }
 
-/// Field-by-field counter sum (destructured so a new [`SimCounters`]
-/// field is a compile error here instead of a silent merge bug).
-fn add_counters(into: &mut SimCounters, from: &SimCounters) {
+/// Fold one report into another: quality, max-quality and energy sums
+/// plus a field-by-field counter sum (destructured so a new
+/// [`SimCounters`] field is a compile error here instead of a silent
+/// merge bug). Shared by the shard merge and the epoch merge.
+fn absorb(into: &mut SimReport, from: &SimReport) {
+    into.total_quality += from.total_quality;
+    into.max_quality += from.max_quality;
+    into.energy_joules += from.energy_joules;
     let SimCounters {
         jobs_total,
         jobs_satisfied,
@@ -1008,7 +895,8 @@ fn add_counters(into: &mut SimCounters, from: &SimCounters) {
         invocations_kept,
         plans_installed,
         plans_kept,
-    } = from;
+    } = &from.counters;
+    let into = &mut into.counters;
     into.jobs_total += jobs_total;
     into.jobs_satisfied += jobs_satisfied;
     into.jobs_partial += jobs_partial;
@@ -1122,24 +1010,6 @@ impl ClusterEngine {
         self
     }
 
-    /// Builder: admission policy only (retry/hedge settings untouched).
-    pub fn with_admission(mut self, admission: AdmissionPolicy) -> Self {
-        self.overload.admission = admission;
-        self
-    }
-
-    /// Builder: retry-budget policy only.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.overload.retry = retry;
-        self
-    }
-
-    /// Builder: hedging policy only.
-    pub fn with_hedging(mut self, hedge: HedgePolicy) -> Self {
-        self.overload.hedge = hedge;
-        self
-    }
-
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards
@@ -1196,29 +1066,6 @@ impl ClusterEngine {
         F: Fn(usize) -> Box<dyn SchedulingPolicy> + Sync + Send,
         M: Fn(usize) -> O + Sync + Send,
     {
-        self.run_observed_with_dispatch(cfg, jobs, make_policy, make_observer, &mut NoopObserver)
-    }
-
-    /// [`ClusterEngine::run_observed`] plus a *dispatcher-level*
-    /// observer: the pre-pass's admission rejects, retry re-releases,
-    /// and hedge dispatches are replayed into `dispatch_obs` (in scan
-    /// order, non-decreasing timestamps) before the shards run. Like
-    /// every observer, it is passive — the report is bitwise-identical
-    /// with a [`NoopObserver`].
-    pub fn run_observed_with_dispatch<O, F, M, D>(
-        &self,
-        cfg: &SimConfig<'_>,
-        jobs: &JobSet,
-        make_policy: F,
-        make_observer: M,
-        dispatch_obs: &mut D,
-    ) -> (ClusterReport, Vec<O>)
-    where
-        O: Observer + Send,
-        F: Fn(usize) -> Box<dyn SchedulingPolicy> + Sync + Send,
-        M: Fn(usize) -> O + Sync + Send,
-        D: Observer,
-    {
         let dispatch = dispatch_protected(
             jobs,
             self.shards,
@@ -1229,11 +1076,6 @@ impl ClusterEngine {
             &self.overload,
             cfg.end,
         );
-        if D::ENABLED {
-            for &(t, e) in &dispatch.events {
-                dispatch_obs.record(t, e);
-            }
-        }
         let shard_jobs = &dispatch.shard_jobs;
         // Group stranding records by crashed shard for event emission.
         let mut redispatched: Vec<Vec<(SimTime, JobId)>> = vec![Vec::new(); self.shards];
@@ -1249,7 +1091,7 @@ impl ClusterEngine {
             .map(|h| h.job.id.0)
             .collect();
 
-        let runs: Vec<(ShardRun, O, Vec<DuelOutcome>)> = (0..self.shards)
+        let runs: Vec<((ShardRun, O), DuelOutcomes)> = (0..self.shards)
             .into_par_iter()
             .map(|i| {
                 let mut obs = make_observer(i);
@@ -1286,41 +1128,24 @@ impl ClusterEngine {
                         &mut obs,
                     )
                 });
-                (
-                    ShardRun {
-                        shard: i,
-                        seed,
-                        report,
-                        measured_energy: measured,
-                    },
-                    obs,
-                    outcomes,
-                )
+                let run = ShardRun {
+                    shard: i,
+                    seed,
+                    report,
+                    measured_energy: measured,
+                };
+                ((run, obs), outcomes)
             })
             .collect();
 
-        let mut shards = Vec::with_capacity(self.shards);
-        let mut observers = Vec::with_capacity(self.shards);
-        let mut duel_outcomes: Vec<BTreeMap<u32, (f64, f64)>> = Vec::with_capacity(self.shards);
-        for (run, obs, outcomes) in runs {
-            shards.push(run);
-            observers.push(obs);
-            duel_outcomes.push(
-                outcomes
-                    .into_iter()
-                    .map(|(id, w, q)| (id, (w, q)))
-                    .collect(),
-            );
-        }
+        let ((shards, observers), duel_outcomes): ((Vec<_>, Vec<_>), Vec<_>) =
+            runs.into_iter().unzip();
 
         // Merge in shard order, seeded from shard 0's report so a
         // 1-shard cluster is the plain engine run to the bit.
         let mut merged = shards[0].report.clone();
         for s in &shards[1..] {
-            merged.total_quality += s.report.total_quality;
-            merged.max_quality += s.report.max_quality;
-            merged.energy_joules += s.report.energy_joules;
-            add_counters(&mut merged.counters, &s.report.counters);
+            absorb(&mut merged, &s.report);
         }
 
         // First-wins settlement of hedge duels. Both copies ran and
@@ -1366,16 +1191,11 @@ impl ClusterEngine {
             self.routing.label(),
             shards[0].report.policy
         );
-        let dropped_max_quality: f64 = dispatch
-            .dropped
-            .iter()
-            .map(|(_, j)| cfg.quality.max_job_quality(j))
-            .sum();
-        let rejected_max_quality: f64 = dispatch
-            .rejected
-            .iter()
-            .map(|(_, j)| cfg.quality.max_job_quality(j))
-            .sum();
+        let mass = |jobs: &[(SimTime, Job)]| -> f64 {
+            jobs.iter()
+                .map(|(_, j)| cfg.quality.max_job_quality(j))
+                .sum()
+        };
 
         (
             ClusterReport {
@@ -1387,8 +1207,8 @@ impl ClusterEngine {
                 jobs_rejected: dispatch.rejected.len() as u64,
                 jobs_hedged: dispatch.hedges.len() as u64,
                 hedges_won,
-                dropped_max_quality,
-                rejected_max_quality,
+                dropped_max_quality: mass(&dispatch.dropped),
+                rejected_max_quality: mass(&dispatch.rejected),
             },
             observers,
         )
@@ -1426,7 +1246,7 @@ fn run_shard_epochs<O, F>(
     make_policy: &F,
     metered: bool,
     obs: &mut O,
-) -> (SimReport, SimTrace, Vec<DuelOutcome>)
+) -> (SimReport, SimTrace, DuelOutcomes)
 where
     O: Observer,
     F: Fn(usize) -> Box<dyn SchedulingPolicy> + Sync + Send,
@@ -1437,7 +1257,7 @@ where
     let mut redisp = redispatched.iter().peekable();
     let mut merged: Option<SimReport> = None;
     let mut full_trace = SimTrace::default();
-    let mut duel_outcomes: Vec<DuelOutcome> = Vec::new();
+    let mut duel_outcomes = DuelOutcomes::new();
 
     for (k, ep) in epochs.iter().enumerate() {
         let is_final = k + 1 == epochs.len();
@@ -1476,19 +1296,14 @@ where
                 "job released inside a crash epoch"
             );
             if O::ENABLED {
-                while let Some(&&(t, job)) = redisp.peek() {
-                    if t == ep.start {
-                        obs.record(
-                            t,
-                            Event::Redispatch {
-                                job,
-                                from: shard as u32,
-                            },
-                        );
-                        redisp.next();
-                    } else {
-                        break;
-                    }
+                while let Some(&(t, job)) = redisp.next_if(|&&(t, _)| t == ep.start) {
+                    obs.record(
+                        t,
+                        Event::Redispatch {
+                            job,
+                            from: shard as u32,
+                        },
+                    );
                 }
             }
         } else {
@@ -1539,7 +1354,7 @@ where
             if !hedged.is_empty() {
                 for o in stats.outcomes() {
                     if hedged.contains(&o.id.0) {
-                        duel_outcomes.push((o.id.0, o.processed, o.quality));
+                        duel_outcomes.insert(o.id.0, (o.processed, o.quality));
                     }
                 }
             }
@@ -1550,16 +1365,10 @@ where
                     ..*s
                 });
             }
-            merged = Some(match merged {
-                None => rep,
-                Some(mut m) => {
-                    m.total_quality += rep.total_quality;
-                    m.max_quality += rep.max_quality;
-                    m.energy_joules += rep.energy_joules;
-                    add_counters(&mut m.counters, &rep.counters);
-                    m
-                }
-            });
+            match &mut merged {
+                None => merged = Some(rep),
+                Some(m) => absorb(m, &rep),
+            }
         }
         if O::ENABLED && ep.fault.is_some() && ep.end < cfg.end {
             obs.record(
@@ -1631,8 +1440,10 @@ fn measured_shard_energy<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::RetryPolicy;
     use crate::fault::FaultWindow;
     use qes_core::power::PolynomialPower;
+    use qes_core::quality::ExpQuality;
     use qes_core::time::SimDuration;
 
     fn stream(n: usize, gap_ms: u64, demand: f64) -> JobSet {
@@ -1645,17 +1456,51 @@ mod tests {
         JobSet::new(jobs).unwrap()
     }
 
+    /// [`dispatch_protected`] under the default overload policy.
+    fn faulted(
+        jobs: &JobSet,
+        shards: usize,
+        routing: &RoutingPolicy,
+        plan: &FaultPlan,
+        end: SimTime,
+    ) -> DispatchPlan {
+        dispatch_protected(
+            jobs,
+            shards,
+            routing,
+            &PolynomialPower::PAPER_SIM,
+            &ExpQuality::PAPER_DEFAULT,
+            plan,
+            &OverloadPolicy::default(),
+            end,
+        )
+    }
+
+    /// Fault-free shard assignment of every job, default overload policy.
+    fn assign(jobs: &JobSet, shards: usize, routing: &RoutingPolicy) -> Vec<u32> {
+        faulted(
+            jobs,
+            shards,
+            routing,
+            &FaultPlan::none(shards),
+            SimTime::MAX,
+        )
+        .assignment
+    }
+
     #[test]
     fn round_robin_cycles_and_conserves() {
         let jobs = stream(10, 1, 100.0);
-        let a = route(
+        let a = assign(&jobs, 3, &RoutingPolicy::RoundRobin);
+        assert_eq!(a, vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
+        let split = faulted(
             &jobs,
             3,
             &RoutingPolicy::RoundRobin,
-            &PolynomialPower::PAPER_SIM,
-        );
-        assert_eq!(a, vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
-        let split = split_jobs(&jobs, &a, 3);
+            &FaultPlan::none(3),
+            SimTime::MAX,
+        )
+        .shard_jobs;
         assert_eq!(split.iter().map(JobSet::len).sum::<usize>(), 10);
         assert_eq!(split[0].len(), 4);
     }
@@ -1670,7 +1515,7 @@ mod tests {
             Job::new(2, SimTime::from_millis(1), SimTime::from_millis(151), 100.0).unwrap(),
         ])
         .unwrap();
-        let a = route(&jobs, 2, &RoutingPolicy::Jsq, &PolynomialPower::PAPER_SIM);
+        let a = assign(&jobs, 2, &RoutingPolicy::Jsq);
         // Third arrival: both shards hold one in-flight job; tie -> 0.
         assert_eq!(a, vec![0, 1, 0]);
     }
@@ -1690,7 +1535,7 @@ mod tests {
             .unwrap(),
         ])
         .unwrap();
-        let a = route(&jobs, 2, &RoutingPolicy::Jsq, &PolynomialPower::PAPER_SIM);
+        let a = assign(&jobs, 2, &RoutingPolicy::Jsq);
         assert_eq!(a, vec![0, 0]);
     }
 
@@ -1703,12 +1548,7 @@ mod tests {
             Job::new(1, SimTime::ZERO, SimTime::from_millis(150), 300.0).unwrap(),
         ])
         .unwrap();
-        let a = route(
-            &jobs,
-            2,
-            &RoutingPolicy::LeastEnergy,
-            &PolynomialPower::PAPER_SIM,
-        );
+        let a = assign(&jobs, 2, &RoutingPolicy::LeastEnergy);
         assert_eq!(a, vec![0, 1]);
     }
 
@@ -1723,12 +1563,7 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let a = route(
-            &jobs,
-            3,
-            &RoutingPolicy::LeastEnergy,
-            &PolynomialPower::PAPER_SIM,
-        );
+        let a = assign(&jobs, 3, &RoutingPolicy::LeastEnergy);
         assert_eq!(a, vec![0, 1, 2, 0, 1]);
     }
 
@@ -1749,10 +1584,23 @@ mod tests {
             }
         }
         let jobs = stream(20, 1, 100.0);
-        let a = route(&jobs, 4, &RoutingPolicy::LeastEnergy, &NanPower);
+        let nan_route = || {
+            dispatch_protected(
+                &jobs,
+                4,
+                &RoutingPolicy::LeastEnergy,
+                &NanPower,
+                &ExpQuality::PAPER_DEFAULT,
+                &FaultPlan::none(4),
+                &OverloadPolicy::default(),
+                SimTime::MAX,
+            )
+            .assignment
+        };
+        let a = nan_route();
         assert_eq!(a.len(), jobs.len());
         assert!(a.iter().all(|&s| s < 4));
-        assert_eq!(a, route(&jobs, 4, &RoutingPolicy::LeastEnergy, &NanPower));
+        assert_eq!(a, nan_route());
         // NaN sorts above every finite delta under total_cmp, so every
         // decision is the all-tie lowest-index pick: shard 0.
         assert!(a.iter().all(|&s| s == 0));
@@ -1762,16 +1610,11 @@ mod tests {
     fn random_routing_is_deterministic_per_seed_and_in_range() {
         let jobs = stream(50, 2, 150.0);
         let r = RoutingPolicy::Random { seed: 9 };
-        let a = route(&jobs, 4, &r, &PolynomialPower::PAPER_SIM);
-        let b = route(&jobs, 4, &r, &PolynomialPower::PAPER_SIM);
+        let a = assign(&jobs, 4, &r);
+        let b = assign(&jobs, 4, &r);
         assert_eq!(a, b);
         assert!(a.iter().all(|&s| s < 4));
-        let c = route(
-            &jobs,
-            4,
-            &RoutingPolicy::Random { seed: 10 },
-            &PolynomialPower::PAPER_SIM,
-        );
+        let c = assign(&jobs, 4, &RoutingPolicy::Random { seed: 10 });
         assert_ne!(a, c, "different seed should reshuffle some assignment");
     }
 
@@ -1785,12 +1628,7 @@ mod tests {
             Job::new(2, SimTime::from_millis(1), SimTime::from_millis(151), 100.0).unwrap(),
         ])
         .unwrap();
-        let a = route(
-            &jobs,
-            2,
-            &RoutingPolicy::Feedback,
-            &PolynomialPower::PAPER_SIM,
-        );
+        let a = assign(&jobs, 2, &RoutingPolicy::Feedback);
         // Shard 0 carries 300 units, shard 1 only 100: the third job
         // joins shard 1 even though the job counts tie.
         assert_eq!(a, vec![0, 1, 1]);
@@ -1818,14 +1656,7 @@ mod tests {
                     kind: FaultKind::Brownout { loss: 0.6 },
                 },
             );
-        let d = dispatch_with_faults(
-            &jobs,
-            3,
-            &RoutingPolicy::Feedback,
-            &PolynomialPower::PAPER_SIM,
-            &plan,
-            horizon,
-        );
+        let d = faulted(&jobs, 3, &RoutingPolicy::Feedback, &plan, horizon);
         assert!(d.assignment.iter().all(|&s| s != 0), "crashed shard used");
         let to_healthy = d.assignment.iter().filter(|&&s| s == 2).count();
         let to_browned = d.assignment.iter().filter(|&&s| s == 1).count();
@@ -1855,14 +1686,7 @@ mod tests {
                 },
             )
             .with_retry_delay(SimDuration::from_millis(10));
-        let d = dispatch_with_faults(
-            &jobs,
-            2,
-            &RoutingPolicy::RoundRobin,
-            &PolynomialPower::PAPER_SIM,
-            &plan,
-            horizon,
-        );
+        let d = faulted(&jobs, 2, &RoutingPolicy::RoundRobin, &plan, horizon);
         // Jobs 0 and 2 went to shard 0 and were stranded at 50 ms
         // (deadlines 150/190 ms are past the crash).
         assert_eq!(d.redispatches.len(), 2);
@@ -1898,14 +1722,7 @@ mod tests {
                 kind: FaultKind::Crash,
             },
         );
-        let d = dispatch_with_faults(
-            &jobs,
-            1,
-            &RoutingPolicy::RoundRobin,
-            &PolynomialPower::PAPER_SIM,
-            &plan,
-            horizon,
-        );
+        let d = faulted(&jobs, 1, &RoutingPolicy::RoundRobin, &plan, horizon);
         assert_eq!(d.shard_jobs[0].len(), 0);
         assert_eq!(d.dropped.len(), 3, "stranded + 2 blocked arrivals");
         assert_eq!(d.retried, 0);
@@ -2039,53 +1856,6 @@ mod tests {
         let q = rep.degraded_quality();
         assert!(q.is_finite());
         assert_eq!(q, 1.0);
-    }
-
-    #[test]
-    fn default_overload_policy_is_bitwise_the_faulted_dispatch() {
-        // dispatch_protected under OverloadPolicy::default() must be
-        // the exact dispatch_with_faults pre-pass: same streams, same
-        // assignment, no rejects, no hedges.
-        let jobs = stream(20, 10, 120.0);
-        let horizon = SimTime::from_secs(1);
-        let plan = FaultPlan::none(3).with_window(
-            1,
-            FaultWindow {
-                start: SimTime::from_millis(60),
-                end: SimTime::from_millis(300),
-                kind: FaultKind::Crash,
-            },
-        );
-        let a = dispatch_with_faults(
-            &jobs,
-            3,
-            &RoutingPolicy::Feedback,
-            &PolynomialPower::PAPER_SIM,
-            &plan,
-            horizon,
-        );
-        let b = dispatch_protected(
-            &jobs,
-            3,
-            &RoutingPolicy::Feedback,
-            &PolynomialPower::PAPER_SIM,
-            &ExpQuality::PAPER_DEFAULT,
-            &plan,
-            &OverloadPolicy::default(),
-            horizon,
-        );
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.retried, b.retried);
-        assert_eq!(a.dropped.len(), b.dropped.len());
-        assert!(b.rejected.is_empty());
-        assert!(b.hedges.is_empty());
-        for (sa, sb) in a.shard_jobs.iter().zip(&b.shard_jobs) {
-            assert_eq!(sa.len(), sb.len());
-            for (ja, jb) in sa.iter().zip(sb.iter()) {
-                assert_eq!(ja.id, jb.id);
-                assert_eq!(ja.release, jb.release);
-            }
-        }
     }
 
     #[test]
@@ -2324,5 +2094,107 @@ mod tests {
             SimTime::from_secs(1),
         );
         assert!(d2.retried >= d.retried);
+    }
+
+    /// The panic message [`dispatch_protected`] raises on entry for
+    /// `overload` over a small two-shard stream, or `None` if it runs.
+    fn rejection(overload: OverloadPolicy) -> Option<String> {
+        let run = || {
+            dispatch_protected(
+                &stream(4, 10, 100.0),
+                2,
+                &RoutingPolicy::Feedback,
+                &PolynomialPower::PAPER_SIM,
+                &ExpQuality::PAPER_DEFAULT,
+                &FaultPlan::none(2),
+                &overload,
+                SimTime::from_secs(1),
+            )
+        };
+        std::panic::catch_unwind(run).err().map(|e| {
+            e.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        })
+    }
+
+    fn slack_floor(floor: f64, capacity_ghz: f64) -> OverloadPolicy {
+        OverloadPolicy {
+            admission: AdmissionPolicy::SlackFloor {
+                floor,
+                capacity_ghz,
+            },
+            ..OverloadPolicy::default()
+        }
+    }
+
+    #[test]
+    fn nan_slack_floor_is_rejected() {
+        // `best >= NaN` is false: a NaN floor would reject every arrival.
+        let msg = rejection(slack_floor(f64::NAN, 8.0)).expect("NaN floor accepted");
+        assert!(msg.contains("slack floor must not be NaN"), "{msg}");
+        assert_eq!(rejection(slack_floor(0.0, 8.0)), None);
+        assert_eq!(rejection(slack_floor(1.0, 8.0)), None);
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_capacity_is_rejected() {
+        for capacity in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let msg = rejection(slack_floor(0.5, capacity))
+                .unwrap_or_else(|| panic!("capacity {capacity} accepted"));
+            assert!(msg.contains("capacity_ghz must be positive"), "{msg}");
+        }
+        assert_eq!(rejection(slack_floor(0.5, 1e-3)), None);
+    }
+
+    #[test]
+    fn hedge_fraction_outside_the_open_unit_interval_is_rejected() {
+        let hedged = |fraction: f64| OverloadPolicy {
+            hedge: HedgePolicy::SlackFraction { fraction },
+            ..OverloadPolicy::default()
+        };
+        for fraction in [0.0, 1.0, -0.5, 1.5, f64::NAN] {
+            let msg = rejection(hedged(fraction))
+                .unwrap_or_else(|| panic!("fraction {fraction} accepted"));
+            assert!(msg.contains("hedge fraction must be in (0, 1)"), "{msg}");
+        }
+        assert_eq!(rejection(hedged(0.5)), None);
+    }
+
+    #[test]
+    fn inverted_backpressure_band_is_rejected() {
+        let band = |cap: f64, resume: f64| OverloadPolicy {
+            admission: AdmissionPolicy::Backpressure { cap, resume },
+            ..OverloadPolicy::default()
+        };
+        let msg = rejection(band(100.0, 200.0)).expect("inverted band accepted");
+        assert!(msg.contains("must not exceed cap"), "{msg}");
+        // An empty band (resume == cap) is a valid, hysteresis-free valve.
+        assert_eq!(rejection(band(100.0, 100.0)), None);
+    }
+
+    #[test]
+    fn out_of_range_public_retry_fields_are_rejected() {
+        // The public fields bypass `RetryPolicy::with_jitter`'s check.
+        let retry = |jitter: f64, backoff: f64| OverloadPolicy {
+            retry: RetryPolicy {
+                jitter,
+                backoff,
+                ..RetryPolicy::default()
+            },
+            ..OverloadPolicy::default()
+        };
+        for jitter in [1.0, -0.1, f64::NAN] {
+            let msg =
+                rejection(retry(jitter, 1.0)).unwrap_or_else(|| panic!("jitter {jitter} accepted"));
+            assert!(msg.contains("jitter must be in [0, 1)"), "{msg}");
+        }
+        for backoff in [f64::INFINITY, f64::NAN] {
+            let msg = rejection(retry(0.0, backoff))
+                .unwrap_or_else(|| panic!("backoff {backoff} accepted"));
+            assert!(msg.contains("retry backoff must be finite"), "{msg}");
+        }
+        assert_eq!(rejection(retry(0.5, 2.0)), None);
     }
 }

@@ -25,10 +25,11 @@
 //!   cluster: *exact* energy (what the simulator predicts) and *measured*
 //!   energy (what the meter reports) for Fig. 11;
 //! * [`dispatch`] — the sharded cluster *front end*: a deterministic
-//!   dispatcher ([`dispatch::route`]) splitting one arrival stream over N
-//!   independent simulated machines, and [`dispatch::ClusterEngine`]
-//!   running the per-shard simulations in parallel and merging their
-//!   reports (determinism contract in DESIGN.md §9);
+//!   dispatch pre-pass ([`dispatch::dispatch_protected`]) splitting one
+//!   arrival stream over N independent simulated machines, and
+//!   [`dispatch::ClusterEngine`] running the per-shard simulations in
+//!   parallel and merging their reports (determinism contract in
+//!   DESIGN.md §9);
 //! * [`fault`] — deterministic fault injection: seeded per-shard
 //!   crash/brownout windows ([`fault::FaultPlan`]) that the dispatcher
 //!   routes around and the engine simulates as capacity epochs, with
@@ -51,8 +52,8 @@ pub mod spec;
 
 pub use admission::{AdmissionPolicy, HedgePolicy, OverloadPolicy, RetryPolicy};
 pub use dispatch::{
-    dispatch_protected, dispatch_with_faults, route, split_jobs, split_seed, ClusterEngine,
-    ClusterReport, DispatchPlan, HedgeRecord, RoutingPolicy, ShardRun,
+    dispatch_protected, split_seed, ClusterEngine, ClusterReport, DispatchPlan, HedgeRecord,
+    RoutingPolicy, ShardRun,
 };
 pub use fault::{effective_cores, Epoch, FaultKind, FaultPlan, FaultWindow};
 pub use meter::PowerMeter;

@@ -22,7 +22,7 @@
 //! maximum — so turning arrivals away cannot inflate the score, and an
 //! admission policy only wins if the jobs it keeps actually finish.
 
-use qes_cluster::{AdmissionPolicy, ClusterEngine, RoutingPolicy};
+use qes_cluster::{AdmissionPolicy, ClusterEngine, OverloadPolicy, RoutingPolicy};
 use qes_core::power::PowerModel;
 use qes_core::quality::ExpQuality;
 use qes_core::time::{SimDuration, SimTime};
@@ -136,7 +136,10 @@ pub fn run(opt: &FigOptions) -> Vec<FigureReport> {
             let engine = ClusterEngine::new(SHARDS)
                 .with_routing(RoutingPolicy::Feedback)
                 .with_seed(opt.seed)
-                .with_admission(adm.clone());
+                .with_overload(OverloadPolicy {
+                    admission: adm.clone(),
+                    ..OverloadPolicy::default()
+                });
             let rep = engine.run(&cfg, &jobs, |_| PolicyKind::Fcfs.build(&machine.power));
             assert_eq!(
                 rep.merged.jobs_total() as u64 + rep.jobs_dropped + rep.jobs_rejected,

@@ -37,8 +37,8 @@
 //!   surviving shards (`jobs_retried`).
 
 use qes::cluster::{
-    dispatch_with_faults, route, split_seed, AdmissionPolicy, ClusterEngine, FaultKind, FaultPlan,
-    FaultWindow, HedgePolicy, OverloadPolicy, PowerMeter, RetryPolicy, RoutingPolicy,
+    dispatch_protected, split_seed, AdmissionPolicy, ClusterEngine, DispatchPlan, FaultKind,
+    FaultPlan, FaultWindow, HedgePolicy, OverloadPolicy, PowerMeter, RetryPolicy, RoutingPolicy,
 };
 use qes::core::{Event, ExpQuality, Job, JobSet, PolynomialPower, SimDuration, SimTime};
 use qes::multicore::differential::{DifferentialConfig, TriggerMode};
@@ -78,6 +78,38 @@ fn diurnal_workload() -> (JobSet, u64) {
         .generate(21)
         .unwrap();
     (jobs, 14)
+}
+
+/// `dispatch_protected` under the default overload policy.
+fn faulted(
+    jobs: &JobSet,
+    shards: usize,
+    routing: &RoutingPolicy,
+    plan: &FaultPlan,
+    end: SimTime,
+) -> DispatchPlan {
+    dispatch_protected(
+        jobs,
+        shards,
+        routing,
+        &MODEL,
+        &ExpQuality::PAPER_DEFAULT,
+        plan,
+        &OverloadPolicy::default(),
+        end,
+    )
+}
+
+/// Fault-free shard assignment of every job, default overload policy.
+fn assign(jobs: &JobSet, shards: usize, routing: &RoutingPolicy) -> Vec<u32> {
+    faulted(
+        jobs,
+        shards,
+        routing,
+        &FaultPlan::none(shards),
+        SimTime::MAX,
+    )
+    .assignment
 }
 
 fn assert_reports_bitwise(a: &SimReport, b: &SimReport, ctx: &str) {
@@ -135,7 +167,7 @@ fn one_shard_cluster_is_bitwise_identical_to_plain_engine() {
 fn round_robin_over_identical_shards_conserves_jobs() {
     let (jobs, end) = workload();
     let shards = 4;
-    let assignment = route(&jobs, shards, &RoutingPolicy::RoundRobin, &MODEL);
+    let assignment = assign(&jobs, shards, &RoutingPolicy::RoundRobin);
     // Every arrival routed exactly once, cyclically.
     assert_eq!(assignment.len(), jobs.len());
     for (k, &s) in assignment.iter().enumerate() {
@@ -216,19 +248,19 @@ fn jsq_tie_breaks_are_stable_under_job_id_permutation() {
     let b = tie_batches(|batch, slot| (batch * 5 + (4 - slot)) as u32);
     assert_eq!(a.len(), b.len());
     for shards in [2usize, 3, 4] {
-        let ra = route(&a, shards, &RoutingPolicy::Jsq, &MODEL);
-        let rb = route(&b, shards, &RoutingPolicy::Jsq, &MODEL);
+        let ra = assign(&a, shards, &RoutingPolicy::Jsq);
+        let rb = assign(&b, shards, &RoutingPolicy::Jsq);
         assert_eq!(
             ra, rb,
             "JSQ decision stream changed under id relabeling ({shards} shards)"
         );
         // Determinism: repeated calls agree.
-        assert_eq!(ra, route(&a, shards, &RoutingPolicy::Jsq, &MODEL));
+        assert_eq!(ra, assign(&a, shards, &RoutingPolicy::Jsq));
     }
     // Round-robin is trivially id-blind too.
     assert_eq!(
-        route(&a, 4, &RoutingPolicy::RoundRobin, &MODEL),
-        route(&b, 4, &RoutingPolicy::RoundRobin, &MODEL)
+        assign(&a, 4, &RoutingPolicy::RoundRobin),
+        assign(&b, 4, &RoutingPolicy::RoundRobin)
     );
 }
 
@@ -431,7 +463,7 @@ fn fault_dispatch_never_targets_a_crashed_shard() {
     let (jobs, _) = workload();
     let plan = crashy_plan();
     for routing in routing_matrix() {
-        let d = dispatch_with_faults(&jobs, 4, &routing, &MODEL, &plan, SimTime::from_secs(10));
+        let d = faulted(&jobs, 4, &routing, &plan, SimTime::from_secs(10));
         let ctx = routing.label();
         for (job, &s) in jobs.iter().zip(&d.assignment) {
             if s == u32::MAX {
@@ -642,7 +674,10 @@ fn overload_hedging_settles_duels_first_wins_and_conserves() {
         .run(&cfg, &jobs, |_| Box::new(DesPolicy::new()));
     let hedged = ClusterEngine::new(4)
         .with_routing(RoutingPolicy::Jsq)
-        .with_hedging(HedgePolicy::SlackFraction { fraction: 0.25 })
+        .with_overload(OverloadPolicy {
+            hedge: HedgePolicy::SlackFraction { fraction: 0.25 },
+            ..OverloadPolicy::default()
+        })
         .run(&cfg, &jobs, |_| Box::new(DesPolicy::new()));
 
     assert!(hedged.jobs_hedged > 0, "no hedge fired on a loaded run");
@@ -674,9 +709,12 @@ fn overload_admission_rejection_is_a_class_distinct_from_drops() {
     let cfg = sim_cfg(&quality, end);
     let rep = ClusterEngine::new(4)
         .with_routing(RoutingPolicy::Feedback)
-        .with_admission(AdmissionPolicy::Backpressure {
-            cap: 300.0,
-            resume: 150.0,
+        .with_overload(OverloadPolicy {
+            admission: AdmissionPolicy::Backpressure {
+                cap: 300.0,
+                resume: 150.0,
+            },
+            ..OverloadPolicy::default()
         })
         .run(&cfg, &jobs, |_| Box::new(DesPolicy::new()));
     assert!(rep.jobs_rejected > 0, "backpressure never tripped");
@@ -703,9 +741,12 @@ fn overload_zero_arrival_run_has_nan_free_degraded_quality() {
     let jobs = JobSet::new(Vec::new()).unwrap();
     for engine in [
         ClusterEngine::new(3),
-        ClusterEngine::new(3).with_admission(AdmissionPolicy::Backpressure {
-            cap: 1.0,
-            resume: 0.5,
+        ClusterEngine::new(3).with_overload(OverloadPolicy {
+            admission: AdmissionPolicy::Backpressure {
+                cap: 1.0,
+                resume: 0.5,
+            },
+            ..OverloadPolicy::default()
         }),
     ] {
         let rep = engine.run(&cfg, &jobs, |_| Box::new(DesPolicy::new()));
@@ -749,11 +790,10 @@ fn overload_retry_on_crash_boundary_respects_tie_order() {
             },
         )
         .with_retry_delay(SimDuration::from_millis(5));
-    let d = dispatch_with_faults(
+    let d = faulted(
         &jobs,
         2,
         &RoutingPolicy::RoundRobin,
-        &MODEL,
         &plan,
         SimTime::from_secs(1),
     );
@@ -807,11 +847,10 @@ fn overload_retry_exactly_on_horizon_is_kept_one_past_is_dropped() {
             .with_retry_delay(SimDuration::from_millis(10))
     };
     // Horizon exactly at the 50 ms re-release: kept.
-    let kept = dispatch_with_faults(
+    let kept = faulted(
         &jobs,
         2,
         &RoutingPolicy::RoundRobin,
-        &MODEL,
         &mk_plan(),
         SimTime::from_millis(50),
     );
@@ -822,11 +861,10 @@ fn overload_retry_exactly_on_horizon_is_kept_one_past_is_dropped() {
         .any(|j| j.id.0 == 0 && j.release == SimTime::from_millis(50)));
     // Horizon one microsecond earlier: the same re-release overshoots
     // and the job is dropped instead.
-    let dropped = dispatch_with_faults(
+    let dropped = faulted(
         &jobs,
         2,
         &RoutingPolicy::RoundRobin,
-        &MODEL,
         &mk_plan(),
         SimTime::from_millis(50) - SimDuration::from_micros(1),
     );
@@ -865,11 +903,10 @@ fn overload_retry_tying_with_an_arrival_processes_the_arrival_first() {
             },
         )
         .with_retry_delay(SimDuration::from_millis(10));
-    let d = dispatch_with_faults(
+    let d = faulted(
         &jobs,
         3,
         &RoutingPolicy::RoundRobin,
-        &MODEL,
         &plan,
         SimTime::from_secs(1),
     );
@@ -884,15 +921,105 @@ fn overload_retry_tying_with_an_arrival_processes_the_arrival_first() {
 }
 
 #[test]
+fn overload_same_instant_retry_hedge_and_crash_follow_the_rank_order() {
+    // The remaining same-microsecond tie cases of the dispatch queue
+    // (ranks crash < arrival < retry < hedge).
+    let hedged = OverloadPolicy {
+        hedge: HedgePolicy::SlackFraction { fraction: 0.5 },
+        ..OverloadPolicy::default()
+    };
+    let protected = |jobs: &JobSet, shards: usize, routing: RoutingPolicy, plan: &FaultPlan| {
+        dispatch_protected(
+            jobs,
+            shards,
+            &routing,
+            &MODEL,
+            &ExpQuality::PAPER_DEFAULT,
+            plan,
+            &hedged,
+            SimTime::from_secs(1),
+        )
+    };
+
+    // Retry → hedge. Feedback routing over three shards: job 0 (10
+    // units) lands on shard 0 and arms a hedge at 50 ms; job 1 (100
+    // units) lands on shard 1, which crashes over [40, 45) ms and
+    // strands it; its retry fires at 50 ms too. The retry routes first,
+    // to the emptiest shard (shard 1, lowest index among the empty
+    // ones), so the hedge target then sees shard 1 carry 100 units and
+    // picks shard 2. Hedge first, the hedge would take the tied shard 1.
+    let jobs = JobSet::new(vec![
+        Job::new(0, SimTime::ZERO, SimTime::from_millis(100), 10.0).unwrap(),
+        Job::new(1, SimTime::from_millis(1), SimTime::from_millis(400), 100.0).unwrap(),
+    ])
+    .unwrap();
+    let plan = FaultPlan::none(3)
+        .with_window(
+            1,
+            FaultWindow {
+                start: SimTime::from_millis(40),
+                end: SimTime::from_millis(45),
+                kind: FaultKind::Crash,
+            },
+        )
+        .with_retry_delay(SimDuration::from_millis(10));
+    let d = protected(&jobs, 3, RoutingPolicy::Feedback, &plan);
+    assert_eq!(d.assignment, vec![0, 1]);
+    assert_eq!(d.retried, 1);
+    assert!(d.shard_jobs[1]
+        .iter()
+        .any(|j| j.id.0 == 1 && j.release == SimTime::from_millis(50)));
+    // Job 1's own hedge (armed on the stranded copy) never fires.
+    assert_eq!(d.hedges.len(), 1);
+    let h = d.hedges[0];
+    assert_eq!((h.job.id.0, h.at), (0, SimTime::from_millis(50)));
+    assert_eq!(
+        (h.from, h.to),
+        (0, 2),
+        "the retry must route before the hedge"
+    );
+
+    // Crash → hedge. Shard 0 crashes at exactly the 50 ms instant job
+    // 0's hedge fires: the crash strands the primary first, so the
+    // hedge is skipped and the retry path owns the job. Hedge first,
+    // the twin would have absorbed the strand instead.
+    let jobs = JobSet::new(vec![Job::new(
+        0,
+        SimTime::ZERO,
+        SimTime::from_millis(100),
+        10.0,
+    )
+    .unwrap()])
+    .unwrap();
+    let plan = FaultPlan::none(2)
+        .with_window(
+            0,
+            FaultWindow {
+                start: SimTime::from_millis(50),
+                end: SimTime::from_millis(80),
+                kind: FaultKind::Crash,
+            },
+        )
+        .with_retry_delay(SimDuration::from_millis(10));
+    let d = protected(&jobs, 2, RoutingPolicy::RoundRobin, &plan);
+    assert!(d.hedges.is_empty(), "a stranded primary skips its hedge");
+    assert_eq!(d.redispatches.len(), 1);
+    assert_eq!(d.retried, 1);
+    assert!(d.shard_jobs[1]
+        .iter()
+        .any(|j| j.id.0 == 0 && j.release == SimTime::from_millis(60)));
+}
+
+#[test]
 fn least_energy_routing_conserves_and_differs_from_round_robin() {
     // Sanity on the power-aware route: still a partition of the stream,
     // and under bursty diurnal load it must actually exercise its probe
     // (different decisions than blind round-robin).
     let (jobs, _) = diurnal_workload();
     let shards = 4;
-    let le = route(&jobs, shards, &RoutingPolicy::LeastEnergy, &MODEL);
+    let le = assign(&jobs, shards, &RoutingPolicy::LeastEnergy);
     assert_eq!(le.len(), jobs.len());
     assert!(le.iter().all(|&s| (s as usize) < shards));
-    let rr = route(&jobs, shards, &RoutingPolicy::RoundRobin, &MODEL);
+    let rr = assign(&jobs, shards, &RoutingPolicy::RoundRobin);
     assert_ne!(le, rr, "least-energy degenerated to round-robin");
 }
