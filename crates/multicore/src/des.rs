@@ -21,17 +21,16 @@
 //! optional [`DiscreteSpeedSet`] enables the §V-F discrete-speed variant.
 
 use qes_core::job::JobId;
-use qes_core::job::{Job, JobSet};
 use qes_core::power::DiscreteSpeedSet;
 use qes_core::schedule::CoreSchedule;
-use qes_singlecore::energy_opt::energy_opt;
+use qes_singlecore::energy_opt::{energy_opt_common_release, CommonReleaseScratch};
 use qes_singlecore::online_qe::{OnlineMode, QeSolver, ReadyJob};
 
 use crate::arch::{fixed_speed_plan, ArchKind};
 use crate::crr::CrrDistributor;
 use crate::discrete::{rectify_speeds, snap_plan_up};
 use crate::policy::{PolicyDecision, SchedulingPolicy, SystemView, TriggerRequest};
-use crate::water_filling::{water_filling_with_rounds, WaterFillingCache};
+use crate::water_filling::WaterFillingCache;
 
 /// How DES distributes ready jobs to cores (ablation knob; the paper's
 /// design is [`JobSharing::Crr`], §IV-B).
@@ -207,12 +206,6 @@ struct DesStats {
     qe_solves: u64,
     /// Jobs the §V-D discard loop abandoned.
     discards: u64,
-    /// Water-filling peel/level passes run outside the cache
-    /// ([`RecomputeMode::Full`] only; cached modes count in
-    /// [`WaterFillingCache`]).
-    wf_levelings: u64,
-    /// Peeling rounds across those passes.
-    wf_rounds: u64,
 }
 
 /// The DES scheduling policy.
@@ -227,7 +220,13 @@ pub struct DesPolicy {
     mode: OnlineMode,
     recompute: RecomputeMode,
     memo: Vec<CoreMemo>,
+    /// Step 3's water-filling solver. The caching modes look the request
+    /// vector up first; [`RecomputeMode::Full`] re-levels every time.
     wf_cache: WaterFillingCache,
+    /// Step 3's grants under [`PowerSharing::StaticEqual`].
+    equal_share: Vec<f64>,
+    /// Step 2's per-core power requests.
+    requests: Vec<f64>,
     /// Per core: every plan installed since the core's last
     /// budget-bounded (or discrete) recomputation came from the step-2
     /// early exit. Part of the *decision procedure* (maintained
@@ -241,6 +240,8 @@ pub struct DesPolicy {
     qe_scratch: QeSolver,
     /// Sort buffer for [`CoreQe::update`].
     sort_scratch: Vec<ReadyJob>,
+    /// Buffers of step 2's budget-free Energy-OPT solves.
+    free_scratch: CommonReleaseScratch,
     /// Observability counters (see [`DesStats`]).
     stats: DesStats,
 }
@@ -264,10 +265,13 @@ impl DesPolicy {
             recompute: RecomputeMode::default(),
             memo: Vec::new(),
             wf_cache: WaterFillingCache::new(),
+            equal_share: Vec::new(),
+            requests: Vec::new(),
             free_streak: Vec::new(),
             core_qe: Vec::new(),
             qe_scratch: QeSolver::default(),
             sort_scratch: Vec::new(),
+            free_scratch: CommonReleaseScratch::default(),
             stats: DesStats::default(),
         }
     }
@@ -315,25 +319,6 @@ impl DesPolicy {
     /// The architecture this instance runs on.
     pub fn arch(&self) -> ArchKind {
         self.arch
-    }
-
-    /// Step 3: distribute the budget per the configured policy. In
-    /// incremental mode water-filling re-levels only when the request
-    /// vector or budget changed since the previous invocation.
-    fn distribute_power(&mut self, requests: &[f64], budget: f64, m: usize) -> Vec<f64> {
-        match self.power_sharing {
-            PowerSharing::WaterFilling => {
-                if self.recompute.caches() {
-                    self.wf_cache.grants(requests, budget).to_vec()
-                } else {
-                    let (grants, rounds) = water_filling_with_rounds(requests, budget);
-                    self.stats.wf_levelings += 1;
-                    self.stats.wf_rounds += rounds;
-                    grants
-                }
-            }
-            PowerSharing::StaticEqual => vec![budget / m as f64; m],
-        }
     }
 
     /// Step 2's power request in closed form. With every job re-released
@@ -395,17 +380,45 @@ impl DesPolicy {
 
     /// The step-2 early-exit schedule for one core: unconstrained
     /// Energy-OPT over the live jobs re-released at `now` with their
-    /// remaining demands (the sunk work needs no future power).
-    fn free_schedule(view: &SystemView<'_>, ready: &[ReadyJob]) -> CoreSchedule {
-        let jobs: Vec<Job> = ready
-            .iter()
-            .map(|r| Job {
-                release: view.now,
-                demand: r.remaining(),
-                ..r.job
-            })
-            .collect();
-        energy_opt(&JobSet::new_unchecked(jobs)).schedule
+    /// remaining demands (the sunk work needs no future power). `ready`
+    /// is (deadline, id)-sorted and live, so the common-release solver
+    /// applies; debug builds check it against general Energy-OPT.
+    fn free_schedule(
+        view: &SystemView<'_>,
+        ready: &[ReadyJob],
+        scratch: &mut CommonReleaseScratch,
+    ) -> CoreSchedule {
+        let plan = energy_opt_common_release(
+            view.now,
+            ready
+                .iter()
+                .map(|r| (r.job.id, r.job.deadline, r.remaining())),
+            scratch,
+        );
+        #[cfg(debug_assertions)]
+        {
+            use qes_core::job::{Job, JobSet};
+            use qes_core::schedule::Slice;
+            let jobs: Vec<Job> = ready
+                .iter()
+                .map(|r| Job {
+                    release: view.now,
+                    demand: r.remaining(),
+                    ..r.job
+                })
+                .collect();
+            let reference = qes_singlecore::energy_opt(&JobSet::new_unchecked(jobs)).schedule;
+            let key = |s: &Slice| (s.job, s.start, s.end, s.speed.to_bits());
+            debug_assert!(
+                plan.slices()
+                    .iter()
+                    .map(key)
+                    .eq(reference.slices().iter().map(key)),
+                "common-release Energy-OPT diverged from energy_opt at {:?}",
+                view.now
+            );
+        }
+        plan
     }
 }
 
@@ -535,15 +548,16 @@ impl SchedulingPolicy for DesPolicy {
                 // Requests depend on `now`, so they are recomputed every
                 // invocation — but via the closed form, not a YDS solve,
                 // and off the stored prefix sums when the index is on.
-                let requests: Vec<f64> = if iqe {
-                    (0..m)
-                        .map(|c| Self::probe_from_index(view, &self.core_qe[c]))
-                        .collect()
+                self.requests.clear();
+                if iqe {
+                    let core_qe = &self.core_qe;
+                    self.requests
+                        .extend((0..m).map(|c| Self::probe_from_index(view, &core_qe[c])));
                 } else {
-                    (0..m)
-                        .map(|c| Self::probe_request(view, live_iter(c)))
-                        .collect()
-                };
+                    self.requests
+                        .extend((0..m).map(|c| Self::probe_request(view, live_iter(c))));
+                }
+                let requests = &self.requests;
                 let total: f64 = requests.iter().sum();
                 // Canonical signatures, built lazily: cores resolved by
                 // the keep rule or the empty check never pay for one.
@@ -553,14 +567,23 @@ impl SchedulingPolicy for DesPolicy {
                 // this same instant from this same live set (bitwise);
                 // the grant side of the key is checked per branch below.
                 let clean = |memo: &CoreMemo, sig: &[Sig]| memo.now_us == now_us && memo.sig == sig;
-                // Hoisted out of the match: `distribute_power` needs
-                // `&mut self` (WF cache), which cannot overlap the borrow
-                // of `self.discrete` below. Only the budget-bound paths
-                // use the grants.
-                let grants = if self.discrete.is_some() || total > view.budget {
-                    self.distribute_power(&requests, view.budget, m)
+                // Step 3, hoisted out of the match and only run for the
+                // budget-bound paths: distribute the budget into
+                // policy-owned buffers, borrowed until the plans are built.
+                let grants: &[f64] = if self.discrete.is_some() || total > view.budget {
+                    match self.power_sharing {
+                        PowerSharing::WaterFilling if inc => {
+                            self.wf_cache.grants(requests, view.budget)
+                        }
+                        PowerSharing::WaterFilling => self.wf_cache.level(requests, view.budget),
+                        PowerSharing::StaticEqual => {
+                            self.equal_share.clear();
+                            self.equal_share.resize(m, view.budget / m as f64);
+                            &self.equal_share
+                        }
+                    }
                 } else {
-                    Vec::new()
+                    &[]
                 };
                 match &self.discrete {
                     None if total <= view.budget => {
@@ -619,10 +642,11 @@ impl SchedulingPolicy for DesPolicy {
                             }
                             self.stats.cache_misses += 1;
                             self.stats.free_solves += 1;
+                            let scratch = &mut self.free_scratch;
                             let plan = if iqe {
-                                Self::free_schedule(view, &self.core_qe[c].jobs)
+                                Self::free_schedule(view, &self.core_qe[c].jobs, scratch)
                             } else {
-                                Self::free_schedule(view, &materialize(c))
+                                Self::free_schedule(view, &materialize(c), scratch)
                             };
                             plans.push(Some(plan.clone()));
                             if inc {
@@ -725,7 +749,7 @@ impl SchedulingPolicy for DesPolicy {
                         // per-core memo does not apply to the ladder path
                         // (plans are recomputed in full).
                         self.free_streak.fill(false);
-                        let speeds = rectify_speeds(&grants, set, view.model, view.budget);
+                        let speeds = rectify_speeds(grants, set, view.model, view.budget);
                         for (c, &cap) in speeds.iter().enumerate() {
                             self.stats.qe_solves += 1;
                             let grant = view.model.dynamic_power(cap);
@@ -765,14 +789,10 @@ impl SchedulingPolicy for DesPolicy {
         sink("des.free_solve", s.free_solves);
         sink("des.qe_solve", s.qe_solves);
         sink("des.discards", s.discards);
-        // Water-filling work: cached modes level inside the cache, Full
-        // levels directly — merge both views into one pair of counters.
+        // Water-filling work, counted by the solver in every mode.
         sink("des.wf_hits", self.wf_cache.hits());
-        sink(
-            "des.wf_levelings",
-            s.wf_levelings + self.wf_cache.levelings(),
-        );
-        sink("des.wf_rounds", s.wf_rounds + self.wf_cache.rounds());
+        sink("des.wf_levelings", self.wf_cache.levelings());
+        sink("des.wf_rounds", self.wf_cache.rounds());
     }
 }
 
@@ -780,6 +800,7 @@ impl SchedulingPolicy for DesPolicy {
 mod tests {
     use super::*;
     use crate::policy::CoreView;
+    use qes_core::job::{Job, JobSet};
     use qes_core::power::{PolynomialPower, PowerModel};
     use qes_core::time::SimTime;
 

@@ -24,25 +24,42 @@
 /// * any two cores whose requests exceed the final water level receive
 ///   the same grant (the level).
 pub fn water_filling(requests: &[f64], budget: f64) -> Vec<f64> {
-    water_filling_with_rounds(requests, budget).0
+    let mut grant = Vec::new();
+    level_into(
+        requests,
+        budget,
+        &mut grant,
+        &mut Vec::new(),
+        &mut Vec::new(),
+    );
+    grant
 }
 
-/// [`water_filling`] that also reports how many peeling rounds the loop
-/// ran (0 when the inputs are degenerate or every request is satisfiable
-/// without peeling past round one). Observability hook: DES exports the
-/// accumulated round count as `des.wf_rounds`.
-pub fn water_filling_with_rounds(requests: &[f64], budget: f64) -> (Vec<f64>, u64) {
+/// The peeling loop, writing the grants into `grant` and using `rest` and
+/// `unsat` as scratch; returns how many peeling rounds ran (0 when the
+/// inputs are degenerate). The one water-filling body: [`water_filling`]
+/// hands it fresh buffers, [`WaterFillingCache`] its own.
+fn level_into(
+    requests: &[f64],
+    budget: f64,
+    grant: &mut Vec<f64>,
+    rest: &mut Vec<f64>,
+    unsat: &mut Vec<usize>,
+) -> u64 {
     let m = requests.len();
-    let mut grant = vec![0.0; m];
+    grant.clear();
+    grant.resize(m, 0.0);
     if m == 0 || budget <= 0.0 {
-        return (grant, 0);
+        return 0;
     }
     let mut rounds = 0u64;
     // Outstanding (not yet granted) request per unsatisfied core.
-    let mut rest: Vec<f64> = requests.iter().map(|&h| h.max(0.0)).collect();
+    rest.clear();
+    rest.extend(requests.iter().map(|&h| h.max(0.0)));
     let mut remaining = budget;
     loop {
-        let unsat: Vec<usize> = (0..m).filter(|&i| rest[i] > 1e-12).collect();
+        unsat.clear();
+        unsat.extend((0..m).filter(|&i| rest[i] > 1e-12));
         if unsat.is_empty() || remaining <= 1e-12 {
             break;
         }
@@ -52,7 +69,7 @@ pub fn water_filling_with_rounds(requests: &[f64], budget: f64) -> (Vec<f64>, u6
         if h_min * k >= remaining {
             // Not enough water to reach the next container rim: level off.
             let share = remaining / k;
-            for &i in &unsat {
+            for &i in unsat.iter() {
                 grant[i] += share;
                 rest[i] -= share;
             }
@@ -60,13 +77,13 @@ pub fn water_filling_with_rounds(requests: &[f64], budget: f64) -> (Vec<f64>, u6
         }
         // Fill every unsatisfied container by h_min; the minimal ones are
         // now satisfied.
-        for &i in &unsat {
+        for &i in unsat.iter() {
             grant[i] += h_min;
             rest[i] -= h_min;
         }
         remaining -= h_min * k;
     }
-    (grant, rounds)
+    rounds
 }
 
 /// Incremental entry point to [`water_filling`]: caches the last solve
@@ -74,12 +91,16 @@ pub fn water_filling_with_rounds(requests: &[f64], budget: f64) -> (Vec<f64>, u6
 /// (bitwise). DES invokes WF on every budget-bounded trigger; when
 /// several triggers coincide at one instant — or the system is in a
 /// steady state where no core's request moved — the grants are provably
-/// the previous ones and the peeling loop is skipped.
+/// the previous ones and the peeling loop is skipped. Levels into its
+/// own buffers, so a warm cache never allocates.
 #[derive(Clone, Debug, Default)]
 pub struct WaterFillingCache {
     requests: Vec<f64>,
     budget: f64,
     grants: Vec<f64>,
+    /// Scratch for [`level_into`].
+    rest: Vec<f64>,
+    unsat: Vec<usize>,
     valid: bool,
     hits: u64,
     levelings: u64,
@@ -105,18 +126,29 @@ impl WaterFillingCache {
                 .iter()
                 .zip(requests)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !hit {
-            let (grants, rounds) = water_filling_with_rounds(requests, budget);
-            self.grants = grants;
-            self.levelings += 1;
-            self.rounds += rounds;
-            self.requests.clear();
-            self.requests.extend_from_slice(requests);
-            self.budget = budget;
-            self.valid = true;
-        } else {
+        if hit {
             self.hits += 1;
+            return &self.grants;
         }
+        self.level(requests, budget)
+    }
+
+    /// `water_filling(requests, budget)` solved afresh, skipping the
+    /// cache lookup (the solve is still remembered for the next
+    /// [`WaterFillingCache::grants`] call).
+    pub fn level(&mut self, requests: &[f64], budget: f64) -> &[f64] {
+        self.rounds += level_into(
+            requests,
+            budget,
+            &mut self.grants,
+            &mut self.rest,
+            &mut self.unsat,
+        );
+        self.levelings += 1;
+        self.requests.clear();
+        self.requests.extend_from_slice(requests);
+        self.budget = budget;
+        self.valid = true;
         &self.grants
     }
 
@@ -125,12 +157,14 @@ impl WaterFillingCache {
         self.hits
     }
 
-    /// How often the peeling loop actually ran (cache misses).
+    /// How often the peeling loop actually ran (cache misses and
+    /// [`WaterFillingCache::level`] calls).
     pub fn levelings(&self) -> u64 {
         self.levelings
     }
 
-    /// Total peeling rounds across all levelings.
+    /// Total peeling rounds across all levelings. Observability hook: DES
+    /// exports it as `des.wf_rounds`.
     pub fn rounds(&self) -> u64 {
         self.rounds
     }
@@ -217,9 +251,9 @@ mod tests {
         assert!((g[2] - 8.0).abs() < 1e-9);
         assert!((g[3] - 16.0).abs() < 1e-9);
         // The peel/level structure above is exactly four loop rounds.
-        let (g2, rounds) = water_filling_with_rounds(&req, 30.0);
-        assert_eq!(g2, g);
-        assert_eq!(rounds, 4);
+        let mut cache = WaterFillingCache::new();
+        assert_eq!(cache.level(&req, 30.0), g.as_slice());
+        assert_eq!(cache.rounds(), 4);
     }
 
     #[test]

@@ -54,6 +54,27 @@ pub struct SimConfig<'a> {
     pub overhead: SimDuration,
 }
 
+impl SimConfig<'_> {
+    /// Reject a configuration no run can honour; every `Simulator::run*`
+    /// entry point calls this, in release builds too. Panics (the entry
+    /// points return no `Result`) on zero cores or a NaN or negative
+    /// budget — left through, a NaN budget fails every budget comparison
+    /// and serves nothing without an error, and zero cores panics deep
+    /// in job dealing. A budget of 0 W (nothing runs) or +∞ (unbounded)
+    /// is legal.
+    fn validate(&self) {
+        assert!(
+            self.num_cores > 0,
+            "SimConfig: num_cores must be at least 1"
+        );
+        assert!(
+            self.budget >= 0.0,
+            "SimConfig: budget must be a non-negative number of watts, got {}",
+            self.budget
+        );
+    }
+}
+
 /// The simulator. Construct one per run via [`Simulator::run`].
 pub struct Simulator;
 
@@ -97,6 +118,7 @@ impl Simulator {
         jobs: &JobSet,
         obs: &mut O,
     ) -> (SimReport, SimTrace, DetailedStats) {
+        cfg.validate();
         Engine::new(cfg, jobs, obs).run(policy)
     }
 }
@@ -778,6 +800,36 @@ mod tests {
         assert!((report.normalized_quality() - 1.0).abs() < 1e-6);
         assert!(report.energy_joules > 0.0);
         assert!((trace.total_volume() - 100.0).abs() < 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "budget must be a non-negative number of watts, got NaN")]
+    fn nan_budget_is_rejected() {
+        let jobs = JobSet::new(vec![job(0, 0, 150, 100.0)]).unwrap();
+        Simulator::run(&cfg(1000, 2, f64::NAN), &mut DesPolicy::new(), &jobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "budget must be a non-negative number of watts, got -5")]
+    fn negative_budget_is_rejected() {
+        let jobs = JobSet::new(vec![job(0, 0, 150, 100.0)]).unwrap();
+        Simulator::run(&cfg(1000, 2, -5.0), &mut DesPolicy::new(), &jobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "num_cores must be at least 1")]
+    fn zero_cores_are_rejected() {
+        let jobs = JobSet::new(vec![job(0, 0, 150, 100.0)]).unwrap();
+        Simulator::run(&cfg(1000, 0, 40.0), &mut DesPolicy::new(), &jobs);
+    }
+
+    #[test]
+    fn zero_and_infinite_budgets_stay_legal() {
+        let jobs = JobSet::new(vec![job(0, 0, 150, 100.0)]).unwrap();
+        let (idle, _) = Simulator::run(&cfg(1000, 2, 0.0), &mut DesPolicy::new(), &jobs);
+        assert_eq!(idle.jobs_satisfied(), 0);
+        let (free, _) = Simulator::run(&cfg(1000, 2, f64::INFINITY), &mut DesPolicy::new(), &jobs);
+        assert_eq!(free.jobs_satisfied(), 1);
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //! its average speed optimal; critical speeds are non-increasing across
 //! rounds (a property [`EnergyOptResult::round_speeds`] exposes and the
 //! tests verify).
+//!
+//! [`energy_opt_common_release`] is the same recursion specialized to jobs
+//! that all share one release — the shape of every online re-solve, where
+//! the ready jobs are re-released at `now`. There every candidate interval
+//! is a prefix of the deadline order, so a round is one running sum over
+//! the remaining jobs, and the schedule comes out bit for bit equal to
+//! [`energy_opt`]'s without allocating beyond the returned slices.
 
 use std::collections::BTreeSet;
 
@@ -23,7 +30,11 @@ use qes_core::job::JobSet;
 use qes_core::schedule::{CoreSchedule, Slice};
 use qes_core::time::SimTime;
 
-use crate::timeline::{compress_point, edf_pack, materialize, VJob, VirtualMap};
+use qes_core::job::JobId;
+
+use crate::timeline::{
+    compress_point, edf_pack, edf_pack_into, materialize, EdfScratch, VJob, VirtualMap,
+};
 
 /// Output of [`energy_opt`].
 #[derive(Clone, Debug)]
@@ -104,6 +115,127 @@ pub fn energy_opt(jobs: &JobSet) -> EnergyOptResult {
         schedule: CoreSchedule::new(slices),
         round_speeds,
     }
+}
+
+/// Reusable buffers for [`energy_opt_common_release`]. They only amortize
+/// allocations: every solve is bitwise independent of the previous ones.
+#[derive(Clone, Debug, Default)]
+pub struct CommonReleaseScratch {
+    /// Positive-demand jobs in `(deadline, id)` order, each paired with its
+    /// volume (its demand) as [`edf_pack_into`] takes it; `d` is virtual.
+    jobs: Vec<(VJob, f64)>,
+    vslices: Vec<(JobId, u64, u64)>,
+    edf: EdfScratch,
+    round_speeds: Vec<f64>,
+}
+
+impl CommonReleaseScratch {
+    /// Speed of each extraction round of the last solve, in order — what
+    /// [`EnergyOptResult::round_speeds`] holds for the same input.
+    pub fn round_speeds(&self) -> &[f64] {
+        &self.round_speeds
+    }
+
+    /// Speed of the last solve's first round; 0 if it had no work. See
+    /// [`EnergyOptResult::initial_speed`].
+    pub fn initial_speed(&self) -> f64 {
+        self.round_speeds.first().copied().unwrap_or(0.0)
+    }
+}
+
+/// Energy-OPT over jobs that are all released at `origin`: the same
+/// [`CoreSchedule`] as [`energy_opt`] on those jobs, bit for bit, with no
+/// allocation besides the returned slices once `scratch` is warm. Finding
+/// the critical interval costs O(n) per round, O(n · rounds) per call; the
+/// EDF packing of each critical group is the shared packing body.
+///
+/// `jobs` yields `(id, deadline, demand)` sorted by `(deadline, id)`, every
+/// deadline after `origin`. Zero-demand jobs receive no slices.
+///
+/// Why the general recursion collapses (every step below is exact, so the
+/// floats match too):
+/// * every virtual release is 0 and stays 0 under compression, so the
+///   only candidate intervals are prefixes `[0, b)` over the remaining
+///   deadlines;
+/// * the jobs due by `b` are a prefix of the `(deadline, id)` order — the
+///   order [`energy_opt`]'s `JobSet` sorts a common-release input into —
+///   so its filter-sum for `b` is the running left fold read at the last
+///   job due at `b`, restarted at each round's first remaining job;
+/// * its scan over `b` descending with strict `>` keeps the largest of
+///   tied maxima, as the ascending scan with `>=` here does;
+/// * the critical group is that prefix, already in the `(d, r, id)` order
+///   it would be sorted into, so EDF packing sees identical input;
+/// * each round cuts a prefix, so the virtual→real map stays one segment
+///   shifted by the cut lengths so far, and compressing a remaining
+///   deadline `d` past `[0, b)` gives `d − b`.
+pub fn energy_opt_common_release(
+    origin: SimTime,
+    jobs: impl IntoIterator<Item = (JobId, SimTime, f64)>,
+    scratch: &mut CommonReleaseScratch,
+) -> CoreSchedule {
+    let CommonReleaseScratch {
+        jobs: vjobs,
+        vslices,
+        edf,
+        round_speeds,
+    } = scratch;
+    let origin_us = origin.as_micros();
+    vjobs.clear();
+    round_speeds.clear();
+    for (id, deadline, demand) in jobs {
+        debug_assert!(deadline > origin, "job {id:?} is due by the common release");
+        if demand > 0.0 {
+            let vj = VJob {
+                id,
+                r: 0,
+                d: deadline.as_micros() - origin_us,
+                w: demand,
+            };
+            vjobs.push((vj, demand));
+        }
+    }
+    debug_assert!(
+        vjobs
+            .windows(2)
+            .all(|p| (p[0].0.d, p[0].0.id) < (p[1].0.d, p[1].0.id)),
+        "jobs must be sorted by (deadline, id)"
+    );
+    let mut slices: Vec<Slice> = Vec::with_capacity(vjobs.len());
+    // Real start of virtual 0: the origin plus every interval cut so far.
+    let mut shift = origin_us;
+    let mut first = 0;
+    while first < vjobs.len() {
+        // Critical prefix: the end `end` and virtual deadline `b` of the
+        // densest prefix of the remaining jobs.
+        let rest = &vjobs[first..];
+        let mut acc = 0.0;
+        let (mut end, mut b, mut speed) = (0, 0u64, -1.0f64);
+        for (i, &(vj, _)) in rest.iter().enumerate() {
+            acc += vj.w;
+            if rest.get(i + 1).is_some_and(|next| next.0.d == vj.d) {
+                continue; // not yet the last job due at `vj.d`
+            }
+            // speed (GHz) to do `acc` units in `vj.d` µs: 1 unit = 1 GHz·ms.
+            let s = acc * 1000.0 / vj.d as f64;
+            if s >= speed {
+                (end, b, speed) = (i + 1, vj.d, s);
+            }
+        }
+        round_speeds.push(speed);
+        edf_pack_into(&rest[..end], speed, 0, edf, vslices);
+        slices.extend(vslices.iter().map(|&(job, va, vb)| Slice {
+            job,
+            start: SimTime::from_micros(shift + va),
+            end: SimTime::from_micros(shift + vb),
+            speed,
+        }));
+        shift += b;
+        first += end;
+        for (vj, _) in &mut vjobs[first..] {
+            vj.d -= b;
+        }
+    }
+    CoreSchedule::new(slices)
 }
 
 /// Find the critical interval of `vjobs`: the candidate `[a, b)` (built

@@ -38,7 +38,9 @@ pub mod qe_opt;
 pub mod quality_opt;
 pub(crate) mod timeline;
 
-pub use energy_opt::{energy_opt, EnergyOptResult};
+pub use energy_opt::{
+    energy_opt, energy_opt_common_release, CommonReleaseScratch, EnergyOptResult,
+};
 pub use online_qe::{
     myopic_volumes, online_qe, online_qe_with_mode, OnlineMode, OnlineQeOutcome, QeSolver, ReadyJob,
 };

@@ -150,6 +150,33 @@ impl VirtualMap {
 
 /// EDF-pack jobs with assigned volumes into virtual interval `[start, …)`
 /// at a fixed speed, producing virtual slices `(job, v_start, v_end)`.
+/// Allocating wrapper over [`edf_pack_into`].
+pub(crate) fn edf_pack(jobs: &[(VJob, f64)], speed_ghz: f64, start: u64) -> Vec<(JobId, u64, u64)> {
+    let mut out = Vec::with_capacity(jobs.len());
+    edf_pack_into(jobs, speed_ghz, start, &mut EdfScratch::default(), &mut out);
+    out
+}
+
+/// A work item of [`edf_pack_into`] with its remaining run time (µs,
+/// fractional).
+#[derive(Clone, Copy, Debug)]
+struct EdfItem {
+    vj: VJob,
+    remaining_us: f64,
+}
+
+/// Reusable buffers for [`edf_pack_into`]; they only amortize
+/// allocations and never affect the packed slices.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct EdfScratch {
+    items: Vec<EdfItem>,
+    by_release: Vec<usize>,
+    active: Vec<usize>,
+}
+
+/// EDF-pack jobs with assigned volumes into virtual interval `[start, …)`
+/// at a fixed speed, replacing `out` with the virtual slices
+/// `(job, v_start, v_end)`.
 ///
 /// Preemptive earliest-deadline-first: at every instant the released,
 /// unfinished job with the earliest deadline runs. For agreeable job sets
@@ -162,29 +189,36 @@ impl VirtualMap {
 /// so rounding error does not accumulate. Slices are clamped to each
 /// job's virtual deadline; with a feasible assignment the clamp removes
 /// at most ~1 µs of work.
-pub(crate) fn edf_pack(jobs: &[(VJob, f64)], speed_ghz: f64, start: u64) -> Vec<(JobId, u64, u64)> {
+pub(crate) fn edf_pack_into(
+    jobs: &[(VJob, f64)],
+    speed_ghz: f64,
+    start: u64,
+    scratch: &mut EdfScratch,
+    out: &mut Vec<(JobId, u64, u64)>,
+) {
     debug_assert!(speed_ghz > 0.0);
     let us_per_unit = 1000.0 / speed_ghz; // 1 unit = 1 GHz·ms
-
-    // Work items with remaining run time (µs, fractional).
-    struct Item {
-        vj: VJob,
-        remaining_us: f64,
-    }
-    let mut items: Vec<Item> = jobs
-        .iter()
-        .filter(|&&(_, vol)| vol > 0.0)
-        .map(|&(vj, vol)| Item {
-            vj,
-            remaining_us: vol * us_per_unit,
-        })
-        .collect();
+    let EdfScratch {
+        items,
+        by_release,
+        active,
+    } = scratch;
+    items.clear();
+    items.extend(
+        jobs.iter()
+            .filter(|&&(_, vol)| vol > 0.0)
+            .map(|&(vj, vol)| EdfItem {
+                vj,
+                remaining_us: vol * us_per_unit,
+            }),
+    );
     // Release order for the sweep.
-    let mut by_release: Vec<usize> = (0..items.len()).collect();
+    by_release.clear();
+    by_release.extend(0..items.len());
     by_release.sort_by_key(|&i| (items[i].vj.r, items[i].vj.d, items[i].vj.id));
 
-    let mut out: Vec<(JobId, u64, u64)> = Vec::with_capacity(items.len());
-    let mut active: Vec<usize> = Vec::new(); // released, unfinished item idxs
+    out.clear();
+    active.clear(); // released, unfinished item idxs
     let mut next_rel = 0usize;
     let mut cur = start as f64;
     loop {
@@ -251,7 +285,6 @@ pub(crate) fn edf_pack(jobs: &[(VJob, f64)], speed_ghz: f64, start: u64) -> Vec<
             active.swap_remove(pos);
         }
     }
-    out
 }
 
 /// Map virtual slices through `map` into real `(job, real_start, real_end)`

@@ -1,16 +1,19 @@
 //! Property-based tests (proptest) over the core invariants:
 //! water-filling conservation, schedule feasibility of every single-core
-//! algorithm on random agreeable job sets, quality monotonicity, and the
-//! d-mean equalization property.
+//! algorithm on random agreeable job sets, quality monotonicity, the
+//! d-mean equalization property, and the bitwise equivalence of the
+//! common-release Energy-OPT with the general one.
 
 use proptest::prelude::*;
 
 use qes::core::{
-    ExpQuality, Job, JobSet, PolynomialPower, PowerModel, QualityFunction, Schedule, SimTime,
+    CoreSchedule, ExpQuality, Job, JobId, JobSet, PolynomialPower, PowerModel, QualityFunction,
+    Schedule, SimDuration, SimTime,
 };
 use qes::multicore::water_filling;
 use qes::singlecore::online_qe::{OnlineMode, ReadyJob};
 use qes::singlecore::{energy_opt, online_qe, qe_opt, quality_opt};
+use qes::singlecore::{energy_opt_common_release, CommonReleaseScratch};
 
 const MODEL: PolynomialPower = PolynomialPower::PAPER_SIM;
 
@@ -37,6 +40,106 @@ fn arb_jobset(max_jobs: usize) -> impl Strategy<Value = JobSet> {
             .collect();
         JobSet::new(jobs).expect("constant relative deadline is agreeable")
     })
+}
+
+/// A common-release input as every online re-solve hands it to
+/// Energy-OPT: `(id, deadline, demand)` sorted by `(deadline, id)`, all due
+/// after `now`. The edge cases are drawn often: deadlines repeated (three
+/// shared slots) or 1 µs after the release, zero demands, demands near
+/// 1e-9, and demands at the Pareto bounds 130 and 1000. Half the cases
+/// snap to a grid (deadlines on four 50 ms slots, demands 0, 130 or 260)
+/// where prefixes tie on density, so the tie-break is exercised.
+type CommonRelease = (SimTime, Vec<(JobId, SimTime, f64)>);
+
+fn arb_common_release(max_jobs: usize) -> impl Strategy<Value = CommonRelease> {
+    let job = (0u64..8, 1u64..400_000, 0u8..8, 0.0f64..1000.0);
+    let raw = proptest::collection::vec(job, 1..max_jobs);
+    (0u64..5_000_000, proptest::bool::ANY, raw).prop_map(|(now, grid, raw)| {
+        let now = SimTime::from_micros(now);
+        let mut jobs: Vec<(JobId, SimTime, f64)> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &(slot, free, kind, x))| {
+                let (after, demand) = if grid {
+                    let demand = [0.0, 130.0, 130.0, 260.0][usize::from(kind % 4)];
+                    ((slot % 4 + 1) * 50_000, demand)
+                } else {
+                    let after = match slot {
+                        0 => 1,
+                        1..=3 => slot * 50_000,
+                        _ => free,
+                    };
+                    let demand = match kind {
+                        0 => 0.0,
+                        1 => 1e-9 * (1.0 + x),
+                        2 => 130.0,
+                        3 => 1000.0,
+                        _ => x,
+                    };
+                    (after, demand)
+                };
+                (
+                    JobId(i as u32),
+                    now + SimDuration::from_micros(after),
+                    demand,
+                )
+            })
+            .collect();
+        jobs.sort_by_key(|&(id, d, _)| (d, id));
+        (now, jobs)
+    })
+}
+
+/// Fail unless the common-release solver reproduces general Energy-OPT on
+/// `jobs` bit for bit: slice job, start, end and speed, and round speeds.
+fn assert_common_release_matches(
+    now: SimTime,
+    jobs: &[(JobId, SimTime, f64)],
+    scratch: &mut CommonReleaseScratch,
+) -> Result<(), TestCaseError> {
+    let fast = energy_opt_common_release(now, jobs.iter().copied(), scratch);
+    let general = energy_opt::energy_opt(&JobSet::new_unchecked(
+        jobs.iter()
+            .map(|&(id, deadline, demand)| Job::new(id.0, now, deadline, demand).unwrap())
+            .collect(),
+    ));
+    let bits = |s: &CoreSchedule| -> Vec<(JobId, SimTime, SimTime, u64)> {
+        s.slices()
+            .iter()
+            .map(|x| (x.job, x.start, x.end, x.speed.to_bits()))
+            .collect()
+    };
+    prop_assert_eq!(
+        bits(&fast),
+        bits(&general.schedule),
+        "slices differ on {:?}",
+        jobs
+    );
+    let speed_bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(
+        speed_bits(scratch.round_speeds()),
+        speed_bits(&general.round_speeds),
+        "round speeds differ on {:?}",
+        jobs
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn common_release_energy_opt_is_bitwise_energy_opt(input in arb_common_release(14)) {
+        let (now, jobs) = input;
+        // One warm scratch across the whole set, each single job, and the
+        // set again: reuse must not leak between solves.
+        let mut scratch = CommonReleaseScratch::default();
+        assert_common_release_matches(now, &jobs, &mut scratch)?;
+        for job in &jobs {
+            assert_common_release_matches(now, std::slice::from_ref(job), &mut scratch)?;
+        }
+        assert_common_release_matches(now, &jobs, &mut scratch)?;
+    }
 }
 
 proptest! {
