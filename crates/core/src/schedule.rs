@@ -38,9 +38,24 @@ impl Slice {
 }
 
 /// The slices of a single core, kept in start order.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct CoreSchedule {
     slices: Vec<Slice>,
+}
+
+// Written out so that `clone_from` reuses the target's slice buffer
+// (the derived impl reallocates): DES stores every installed plan into
+// a per-core memo this way.
+impl Clone for CoreSchedule {
+    fn clone(&self) -> Self {
+        CoreSchedule {
+            slices: self.slices.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.slices.clone_from(&source.slices);
+    }
 }
 
 impl CoreSchedule {

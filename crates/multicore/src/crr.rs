@@ -25,17 +25,20 @@ impl CrrDistributor {
         self.next
     }
 
+    /// Deal one job to `m` cores: returns its core and advances the
+    /// persistent cursor.
+    pub fn deal(&mut self, m: usize) -> usize {
+        assert!(m > 0, "cannot distribute to zero cores");
+        self.next %= m; // re-sync if the core count changed between calls
+        let core = self.next;
+        self.next = (core + 1) % m;
+        core
+    }
+
     /// Deal `count` jobs to `m` cores; returns the core index for each job
     /// in order, advancing the persistent cursor.
     pub fn assign(&mut self, count: usize, m: usize) -> Vec<usize> {
-        assert!(m > 0, "cannot distribute to zero cores");
-        let mut out = Vec::with_capacity(count);
-        self.next %= m; // re-sync if the core count changed between calls
-        for _ in 0..count {
-            out.push(self.next);
-            self.next = (self.next + 1) % m;
-        }
-        out
+        (0..count).map(|_| self.deal(m)).collect()
     }
 }
 

@@ -125,6 +125,19 @@ struct CoreMemo {
     plan: CoreSchedule,
 }
 
+impl CoreMemo {
+    /// Record `plan` as computed at `now_us` from the live set `sig`
+    /// under `key`, copying into the memo's own buffers instead of
+    /// replacing them.
+    fn store(&mut self, sig: &[Sig], now_us: u64, key: PlanKey, plan: &CoreSchedule) {
+        self.sig.clear();
+        self.sig.extend_from_slice(sig);
+        self.now_us = now_us;
+        self.key = Some(key);
+        self.plan.clone_from(plan);
+    }
+}
+
 /// Per-core ready index for [`RecomputeMode::IncrementalQe`]: the live
 /// job set in canonical (deadline, id) order with left-to-right prefix
 /// sums of remaining demand, updated by suffix diff each invocation.
@@ -240,6 +253,11 @@ pub struct DesPolicy {
     qe_scratch: QeSolver,
     /// Sort buffer for [`CoreQe::update`].
     sort_scratch: Vec<ReadyJob>,
+    /// Step 1's newly dealt jobs per core, cleared every invocation.
+    extra: Vec<Vec<ReadyJob>>,
+    /// Per-core canonical signatures, built lazily and cleared every
+    /// invocation ([`RecomputeMode::Incremental`] only).
+    sigs: Vec<Option<Vec<Sig>>>,
     /// Buffers of step 2's budget-free Energy-OPT solves.
     free_scratch: CommonReleaseScratch,
     /// Observability counters (see [`DesStats`]).
@@ -271,6 +289,8 @@ impl DesPolicy {
             core_qe: Vec::new(),
             qe_scratch: QeSolver::default(),
             sort_scratch: Vec::new(),
+            extra: Vec::new(),
+            sigs: Vec::new(),
             free_scratch: CommonReleaseScratch::default(),
             stats: DesStats::default(),
         }
@@ -460,27 +480,29 @@ impl SchedulingPolicy for DesPolicy {
         let now = view.now;
         self.stats.triggers += 1;
 
-        // Step 1: C-RR distribution of the waiting queue.
-        let live_queue: Vec<&ReadyJob> = view
-            .queue
-            .iter()
-            .filter(|r| r.job.deadline > now && r.remaining() > 1e-9)
-            .collect();
+        // Step 1: C-RR distribution of the waiting queue, one live job
+        // at a time.
         if self.job_sharing == JobSharing::RestartRr {
             // Ablation: forget the cumulative cursor every invocation.
             self.crr = CrrDistributor::new();
         }
-        let dealt = self.crr.assign(live_queue.len(), m);
-        let mut assignments = Vec::with_capacity(live_queue.len());
         // Newly dealt jobs, kept apart from the *borrowed* core views: a
         // core that receives no new work and needs no recomputation never
         // copies its job list.
-        let mut extra: Vec<Vec<ReadyJob>> = vec![Vec::new(); m];
-        for (r, &core) in live_queue.iter().zip(&dealt) {
+        self.extra.resize_with(m, Vec::new);
+        self.extra.iter_mut().for_each(Vec::clear);
+        let mut assignments = Vec::with_capacity(view.queue.len());
+        for r in view
+            .queue
+            .iter()
+            .filter(|r| r.job.deadline > now && r.remaining() > 1e-9)
+        {
+            let core = self.crr.deal(m);
             assignments.push((r.job.id, core));
-            extra[core].push(**r);
+            self.extra[core].push(*r);
         }
         self.stats.jobs_dealt += assignments.len() as u64;
+        let extra = &self.extra;
         // One core's live set (current jobs + newly dealt), borrowed.
         let live_iter = |c: usize| view.cores[c].live_jobs(now).chain(extra[c].iter().copied());
         // The same set materialized in canonical (deadline, id) order for
@@ -494,7 +516,9 @@ impl SchedulingPolicy for DesPolicy {
 
         let mut plans: Vec<Option<CoreSchedule>> = Vec::with_capacity(m);
         let mut discarded: Vec<JobId> = Vec::new();
-        let mut ambient = vec![0.0; m];
+        // Empty leaves the engine's ambient speeds in place; C-DVFS keeps
+        // them at their initial 0 (cores gate off when idle).
+        let mut ambient = Vec::new();
 
         match self.arch {
             ArchKind::NoDvfs => {
@@ -562,7 +586,8 @@ impl SchedulingPolicy for DesPolicy {
                 // Canonical signatures, built lazily: cores resolved by
                 // the keep rule or the empty check never pay for one.
                 // `IncrementalQe` replaces them with the index dirty flag.
-                let mut sigs: Vec<Option<Vec<Sig>>> = vec![None; m];
+                self.sigs.clear();
+                self.sigs.resize(m, None);
                 // A cached plan is reusable only if it was computed at
                 // this same instant from this same live set (bitwise);
                 // the grant side of the key is checked per branch below.
@@ -601,7 +626,8 @@ impl SchedulingPolicy for DesPolicy {
                             // reproduces the tail of the running plan),
                             // so a recompute could only re-derive what is
                             // already installed.
-                            if self.free_streak[c] && extra[c].is_empty() && view.cores[c].busy {
+                            if self.free_streak[c] && self.extra[c].is_empty() && view.cores[c].busy
+                            {
                                 self.stats.keeps += 1;
                                 plans.push(None);
                                 continue;
@@ -616,12 +642,12 @@ impl SchedulingPolicy for DesPolicy {
                                 // No live work: Energy-OPT over nothing.
                                 plans.push(Some(CoreSchedule::default()));
                                 if inc {
-                                    self.memo[c] = CoreMemo {
-                                        sig: Vec::new(),
+                                    self.memo[c].store(
+                                        &[],
                                         now_us,
-                                        key: Some(PlanKey::Free),
-                                        plan: CoreSchedule::default(),
-                                    };
+                                        PlanKey::Free,
+                                        &CoreSchedule::default(),
+                                    );
                                     if iqe {
                                         self.core_qe[c].dirty = false;
                                     }
@@ -631,8 +657,8 @@ impl SchedulingPolicy for DesPolicy {
                             let reusable = if iqe {
                                 !self.core_qe[c].dirty && self.memo[c].now_us == now_us
                             } else {
-                                let sig =
-                                    sigs[c].get_or_insert_with(|| Self::signature(live_iter(c)));
+                                let sig = self.sigs[c]
+                                    .get_or_insert_with(|| Self::signature(live_iter(c)));
                                 clean(&self.memo[c], sig)
                             };
                             if inc && self.memo[c].key == Some(PlanKey::Free) && reusable {
@@ -648,18 +674,14 @@ impl SchedulingPolicy for DesPolicy {
                             } else {
                                 Self::free_schedule(view, &materialize(c), scratch)
                             };
-                            plans.push(Some(plan.clone()));
                             if inc {
-                                self.memo[c] = CoreMemo {
-                                    sig: sigs[c].take().unwrap_or_default(),
-                                    now_us,
-                                    key: Some(PlanKey::Free),
-                                    plan,
-                                };
+                                let sig = self.sigs[c].as_deref().unwrap_or_default();
+                                self.memo[c].store(sig, now_us, PlanKey::Free, &plan);
                                 if iqe {
                                     self.core_qe[c].dirty = false;
                                 }
                             }
+                            plans.push(Some(plan));
                         }
                     }
                     None => {
@@ -680,20 +702,19 @@ impl SchedulingPolicy for DesPolicy {
                                 // discards without looking at the jobs.
                                 plans.push(Some(CoreSchedule::default()));
                                 if inc {
-                                    let sig = if iqe {
+                                    let sig: &[Sig] = if iqe {
                                         self.core_qe[c].dirty = false;
-                                        Vec::new()
+                                        &[]
                                     } else {
-                                        sigs[c]
+                                        self.sigs[c]
                                             .get_or_insert_with(|| Self::signature(live_iter(c)))
-                                            .clone()
                                     };
-                                    self.memo[c] = CoreMemo {
+                                    self.memo[c].store(
                                         sig,
                                         now_us,
-                                        key: Some(PlanKey::Granted(grant.to_bits())),
-                                        plan: CoreSchedule::default(),
-                                    };
+                                        PlanKey::Granted(grant.to_bits()),
+                                        &CoreSchedule::default(),
+                                    );
                                 }
                                 continue;
                             }
@@ -701,8 +722,8 @@ impl SchedulingPolicy for DesPolicy {
                             let reusable = if iqe {
                                 !self.core_qe[c].dirty && self.memo[c].now_us == now_us
                             } else {
-                                let sig =
-                                    sigs[c].get_or_insert_with(|| Self::signature(live_iter(c)));
+                                let sig = self.sigs[c]
+                                    .get_or_insert_with(|| Self::signature(live_iter(c)));
                                 clean(&self.memo[c], sig)
                             };
                             if inc && self.memo[c].key == Some(key) && reusable {
@@ -715,7 +736,7 @@ impl SchedulingPolicy for DesPolicy {
                             }
                             self.stats.cache_misses += 1;
                             self.stats.qe_solves += 1;
-                            let out = if iqe {
+                            let (plan, disc) = if iqe {
                                 let CoreQe { jobs, solver, .. } = &mut self.core_qe[c];
                                 solver.solve(now, jobs, view.model, grant, self.mode)
                             } else {
@@ -727,19 +748,15 @@ impl SchedulingPolicy for DesPolicy {
                                     self.mode,
                                 )
                             };
-                            discarded.extend(out.discarded);
-                            plans.push(Some(out.schedule.clone()));
+                            discarded.extend(disc);
                             if inc {
-                                self.memo[c] = CoreMemo {
-                                    sig: sigs[c].take().unwrap_or_default(),
-                                    now_us,
-                                    key: Some(key),
-                                    plan: out.schedule,
-                                };
+                                let sig = self.sigs[c].as_deref().unwrap_or_default();
+                                self.memo[c].store(sig, now_us, key, &plan);
                                 if iqe {
                                     self.core_qe[c].dirty = false;
                                 }
                             }
+                            plans.push(Some(plan));
                         }
                     }
                     Some(set) => {
@@ -753,15 +770,15 @@ impl SchedulingPolicy for DesPolicy {
                         for (c, &cap) in speeds.iter().enumerate() {
                             self.stats.qe_solves += 1;
                             let grant = view.model.dynamic_power(cap);
-                            let out = self.qe_scratch.solve(
+                            let (plan, disc) = self.qe_scratch.solve(
                                 now,
                                 &materialize(c),
                                 view.model,
                                 grant,
                                 self.mode,
                             );
-                            discarded.extend(out.discarded);
-                            plans.push(Some(snap_plan_up(&out.schedule, set)));
+                            discarded.extend(disc);
+                            plans.push(Some(snap_plan_up(&plan, set)));
                         }
                     }
                 }

@@ -2,18 +2,27 @@
 //!
 //! # Per-event complexity
 //!
-//! The engine tracks every live job's location in a `JobId → Loc` index,
-//! so settling, assignment and completion checks are O(1) instead of
-//! scans over the queue and every core. Queue removals tombstone in
-//! place (the queue compacts lazily before each policy invocation,
-//! preserving arrival order), core removals `swap_remove` and re-index
-//! the displaced job. Arrivals are not pre-pushed onto the event heap:
-//! the release-sorted job list is merged with the heap through a cursor,
-//! and a job's deadline event is only scheduled when it actually
-//! arrives, keeping the heap proportional to the in-flight window rather
-//! than the whole trace.
+//! The engine tracks the location of every *in-flight* job — arrived and
+//! not yet settled — in a `JobId → Loc` index, so settling, assignment
+//! and completion checks are O(1) instead of scans over the queue and
+//! every core. A job's entry is removed when it settles, so the index
+//! holds the in-flight window (tens to hundreds of jobs), not the whole
+//! trace. Queue removals tombstone in place (the queue compacts lazily
+//! before each policy invocation, preserving arrival order), core
+//! removals `swap_remove` and re-index the displaced job.
+//!
+//! Heap events are ordered by an integer key alone: `(t µs, prio, seq)`
+//! packed into one `u128`, compared with a single integer comparison.
+//! Arrivals are not pre-pushed onto the event heap: the release-sorted
+//! job list is merged with the heap through a cursor, and a job's
+//! deadline event is only scheduled when it actually arrives, keeping
+//! the heap proportional to the in-flight window rather than the whole
+//! trace. `advance_core`'s completion list is engine-owned and reused,
+//! so in the steady state an event allocates nothing; a policy
+//! invocation allocates the `views` vector it hands the policy and
+//! whatever the policy's decision carries back.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use qes_core::job::{Job, JobId, JobSet};
@@ -126,7 +135,7 @@ impl Simulator {
 /// Event kinds, in same-instant processing order. Arrivals are not heap
 /// events (they come from the release-sorted cursor) but occupy priority
 /// 1 between deadlines and plan ends — see [`ARRIVAL_PRIO`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug)]
 enum EventKind {
     /// A job's deadline passed: settle its quality.
     Deadline(JobId),
@@ -136,7 +145,63 @@ enum EventKind {
     Quantum,
 }
 
-type Event = (SimTime, u8, u64, EventKind);
+impl EventKind {
+    /// Same-instant priority: deadlines (0), plan ends (2), quantum
+    /// ticks (3); arrivals take [`ARRIVAL_PRIO`] in between.
+    fn prio(self) -> u8 {
+        match self {
+            EventKind::Deadline(_) => 0,
+            EventKind::PlanEnd { .. } => 2,
+            EventKind::Quantum => 3,
+        }
+    }
+}
+
+/// A heap event, ordered by its integer key alone.
+#[derive(Clone, Copy, Debug)]
+struct Event {
+    /// `(t µs, prio, seq)` packed as `t << 64 | prio << 56 | seq`, so
+    /// comparing keys compares the triple lexicographically. `seq` is
+    /// unique per push, so no two keys tie and `kind` never decides.
+    key: u128,
+    kind: EventKind,
+}
+
+impl Event {
+    fn key(t: SimTime, prio: u8, seq: u64) -> u128 {
+        debug_assert!(
+            seq < 1 << 56,
+            "event sequence number overflows its key field"
+        );
+        (u128::from(t.as_micros()) << 64) | (u128::from(prio) << 56) | u128::from(seq)
+    }
+
+    fn time(&self) -> SimTime {
+        SimTime::from_micros((self.key >> 64) as u64)
+    }
+}
+
+// Reversed on the key: `BinaryHeap` is a max-heap, so the smallest key
+// pops first.
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Event {}
 
 /// Same-instant priority of arrivals relative to heap events: after
 /// deadlines (0), before plan ends (2) and quantum ticks (3).
@@ -160,7 +225,7 @@ pub fn demand_met(processed: f64, demand: f64) -> bool {
     demand <= 1e-12 || processed >= demand * (1.0 - REL_EPS)
 }
 
-/// Where a tracked job currently lives.
+/// Where an in-flight job currently lives. Settled jobs have no entry.
 #[derive(Clone, Copy, Debug)]
 enum Loc {
     /// Waiting in the ready queue at this slot (may be tombstoned only
@@ -168,8 +233,6 @@ enum Loc {
     Queue(u32),
     /// Assigned to `core`, at `idx` in its job list.
     Core { core: u32, idx: u32 },
-    /// Quality already settled; the job is gone from live structures.
-    Settled,
 }
 
 struct CoreState {
@@ -187,7 +250,7 @@ struct Engine<'a, O: Observer> {
     /// `(release, index)`; consumed through `next_arrival`.
     arrival_order: Vec<u32>,
     next_arrival: usize,
-    events: BinaryHeap<Reverse<Event>>,
+    events: BinaryHeap<Event>,
     seq: u64,
     now: SimTime,
     /// Ready queue in arrival order. Settled/assigned entries are
@@ -196,8 +259,10 @@ struct Engine<'a, O: Observer> {
     queue_dead: Vec<bool>,
     queue_holes: usize,
     cores: Vec<CoreState>,
-    /// O(1) location of every job that has arrived.
+    /// O(1) location of every in-flight job (arrived, not settled).
     loc: HashMap<JobId, Loc>,
+    /// `advance_core`'s completion list, reused across calls.
+    completions: Vec<JobId>,
     trace: SimTrace,
     report: SimReport,
     stats: DetailedStats,
@@ -218,7 +283,6 @@ impl<'a, O: Observer> Engine<'a, O> {
             .filter(|&i| all_jobs[i as usize].release <= cfg.end)
             .collect();
         arrival_order.sort_by_key(|&i| (all_jobs[i as usize].release, i));
-        let expected_jobs = arrival_order.len();
         Engine {
             cfg,
             all_jobs,
@@ -239,7 +303,8 @@ impl<'a, O: Observer> Engine<'a, O> {
                     advanced_to: SimTime::ZERO,
                 })
                 .collect(),
-            loc: HashMap::with_capacity(expected_jobs),
+            loc: HashMap::new(),
+            completions: Vec::new(),
             trace: SimTrace::default(),
             report: SimReport {
                 sim_seconds: cfg.end.as_secs_f64(),
@@ -251,13 +316,11 @@ impl<'a, O: Observer> Engine<'a, O> {
     }
 
     fn push_event(&mut self, t: SimTime, kind: EventKind) {
-        let prio = match kind {
-            EventKind::Deadline(_) => 0,
-            EventKind::PlanEnd { .. } => 2,
-            EventKind::Quantum => 3,
-        };
         self.seq += 1;
-        self.events.push(Reverse((t, prio, self.seq, kind)));
+        self.events.push(Event {
+            key: Event::key(t, kind.prio(), self.seq),
+            kind,
+        });
     }
 
     /// Release time of the next unprocessed arrival, if any.
@@ -285,7 +348,10 @@ impl<'a, O: Observer> Engine<'a, O> {
                 (None, None) => break,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
-                (Some(at), Some(&Reverse((ht, hp, _, _)))) => (at, ARRIVAL_PRIO) < (ht, hp),
+                // Heap events never carry `ARRIVAL_PRIO`, so the arrival
+                // key's `seq` of 0 never decides: this is `(at, 1) <
+                // (t, prio)`.
+                (Some(at), Some(top)) => Event::key(at, ARRIVAL_PRIO, 0) < top.key,
             };
             if take_arrival {
                 let t = self.next_arrival_time().expect("cursor checked above");
@@ -334,7 +400,8 @@ impl<'a, O: Observer> Engine<'a, O> {
                 }
                 continue;
             }
-            let Reverse((t, _, _, kind)) = self.events.pop().expect("heap checked above");
+            let ev = self.events.pop().expect("heap checked above");
+            let (t, kind) = (ev.time(), ev.kind);
             self.now = t;
             if O::ENABLED {
                 let dk = match kind {
@@ -352,8 +419,10 @@ impl<'a, O: Observer> Engine<'a, O> {
                         // the advance; `settle` re-checks its location.
                         self.settle(id);
                     }
-                    Some(&Loc::Queue(_)) => self.settle(id),
-                    _ => {}
+                    Some(&Loc::Queue(_)) => {
+                        self.settle(id);
+                    }
+                    None => {}
                 },
                 EventKind::PlanEnd { core, version } => {
                     let core = core as usize;
@@ -441,17 +510,18 @@ impl<'a, O: Observer> Engine<'a, O> {
     }
 
     /// Record a job's final quality and drop it from the live structures.
-    /// No-op for unknown or already-settled ids (e.g. double discard).
-    fn settle(&mut self, id: JobId) {
-        let r = match self.loc.get(&id) {
-            Some(&Loc::Queue(qi)) => {
+    /// Returns whether `id` was in flight; unknown or already-settled ids
+    /// (e.g. a double discard) are a no-op returning `false`.
+    fn settle(&mut self, id: JobId) -> bool {
+        let r = match self.loc.remove(&id) {
+            Some(Loc::Queue(qi)) => {
                 let qi = qi as usize;
                 debug_assert!(!self.queue_dead[qi], "live queue slot for {id:?}");
                 self.queue_dead[qi] = true;
                 self.queue_holes += 1;
                 self.queue[qi]
             }
-            Some(&Loc::Core { core, idx }) => {
+            Some(Loc::Core { core, idx }) => {
                 let jobs = &mut self.cores[core as usize].jobs;
                 let r = jobs.swap_remove(idx as usize);
                 // Re-index the job the swap displaced into `idx`.
@@ -460,9 +530,8 @@ impl<'a, O: Observer> Engine<'a, O> {
                 }
                 r
             }
-            _ => return,
+            None => return false,
         };
-        self.loc.insert(id, Loc::Settled);
         let quality = self.cfg.quality.job_quality(&r.job, r.processed);
         self.report.total_quality += quality;
         let outcome = if demand_met(r.processed, r.job.demand) {
@@ -487,6 +556,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             demand: r.job.demand,
             quality,
         });
+        true
     }
 
     /// Drop tombstoned queue slots, preserving arrival order, and refresh
@@ -520,7 +590,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         if t <= core.advanced_to {
             return;
         }
-        let mut completions: Vec<JobId> = Vec::new();
+        let mut completions = std::mem::take(&mut self.completions);
         while let Some(front) = core.plan.front_mut() {
             if front.start >= t {
                 break;
@@ -574,9 +644,11 @@ impl<'a, O: Observer> Engine<'a, O> {
             self.report.energy_joules += model.dynamic_energy(core.ambient, gap.as_secs_f64());
         }
         core.advanced_to = t;
-        for id in completions {
+        for &id in &completions {
             self.settle(id);
         }
+        completions.clear();
+        self.completions = completions;
     }
 
     /// Invoke the policy and apply its decision.
@@ -663,9 +735,11 @@ impl<'a, O: Observer> Engine<'a, O> {
         }
 
         // Abandon discarded jobs (settled with whatever volume they have).
+        // Only an in-flight job counts: an id that never arrived, or one
+        // already settled (including earlier in this same list), is
+        // ignored.
         for id in decision.discarded {
-            if !matches!(self.loc.get(&id), Some(Loc::Settled)) {
-                self.settle(id);
+            if self.settle(id) {
                 self.report.counters.jobs_discarded += 1;
                 if O::ENABLED {
                     self.obs.record(now, ObsEvent::JobDiscard { job: id });
@@ -1205,6 +1279,198 @@ mod tests {
             snoop.seen.contains(&vec![1, 2, 3]),
             "expected an in-order view of the survivors, saw {:?}",
             snoop.seen
+        );
+    }
+
+    /// Records every observability event with its instant.
+    #[derive(Default)]
+    struct Log(Vec<(SimTime, ObsEvent)>);
+
+    impl Observer for Log {
+        const ENABLED: bool = true;
+
+        fn record(&mut self, at: SimTime, event: ObsEvent) {
+            self.0.push((at, event));
+        }
+    }
+
+    #[test]
+    fn discards_count_only_in_flight_jobs() {
+        // Discards the listed ids at its first trigger, then keeps.
+        struct Discard(Vec<JobId>);
+        impl SchedulingPolicy for Discard {
+            fn name(&self) -> String {
+                "discard".into()
+            }
+            fn triggers(&self) -> TriggerRequest {
+                TriggerRequest {
+                    quantum: None,
+                    counter: None,
+                    on_idle: false,
+                    idle_requires_work: false,
+                    on_arrival: true,
+                }
+            }
+            fn on_trigger(&mut self, _v: &SystemView<'_>) -> PolicyDecision {
+                PolicyDecision {
+                    discarded: std::mem::take(&mut self.0),
+                    ..PolicyDecision::default()
+                }
+            }
+        }
+        let discards = |log: &Log| {
+            log.0
+                .iter()
+                .filter(|(_, e)| matches!(e, ObsEvent::JobDiscard { .. }))
+                .count()
+        };
+        let jobs = JobSet::new(vec![job(0, 0, 100, 50.0)]).unwrap();
+        let c = cfg(500, 1, 20.0);
+
+        // An id the engine never tracked is not a discard.
+        let mut log = Log::default();
+        let (ghost, _) =
+            Simulator::run_observed(&c, &mut Discard(vec![JobId(999)]), &jobs, &mut log);
+        assert_eq!(ghost.counters.jobs_discarded, 0, "{ghost}");
+        assert_eq!(discards(&log), 0);
+        assert_eq!(ghost.jobs_total(), 1);
+
+        // The same id twice in one decision is one discard.
+        let mut log = Log::default();
+        let (twice, _) =
+            Simulator::run_observed(&c, &mut Discard(vec![JobId(0), JobId(0)]), &jobs, &mut log);
+        assert_eq!(twice.counters.jobs_discarded, 1, "{twice}");
+        assert_eq!(discards(&log), 1);
+        assert_eq!(twice.jobs_zero(), 1);
+    }
+
+    #[test]
+    fn same_instant_events_follow_the_documented_order() {
+        // At T = 100 ms five things coincide: job 0's deadline (it waits
+        // in the queue, never assigned), job 1's arrival, the end of both
+        // cores' plans and the first quantum tick. Core 1's plan is
+        // installed at 10 ms and core 0's at 20 ms, so install order is
+        // not core order.
+        struct Script {
+            calls_at_t: u32,
+        }
+        impl SchedulingPolicy for Script {
+            fn name(&self) -> String {
+                "script".into()
+            }
+            fn triggers(&self) -> TriggerRequest {
+                TriggerRequest {
+                    quantum: Some(SimDuration::from_millis(100)),
+                    counter: None,
+                    on_idle: true,
+                    idle_requires_work: false,
+                    on_arrival: true,
+                }
+            }
+            fn on_trigger(&mut self, v: &SystemView<'_>) -> PolicyDecision {
+                use qes_core::schedule::CoreSchedule;
+                let run_until_t = |id: u32| {
+                    Some(CoreSchedule::new(vec![Slice {
+                        job: JobId(id),
+                        start: v.now,
+                        end: ms(100),
+                        speed: 0.5,
+                    }]))
+                };
+                match v.now.as_micros() / 1000 {
+                    10 => PolicyDecision {
+                        assignments: vec![(JobId(2), 1)],
+                        plans: vec![None, run_until_t(2)],
+                        ..PolicyDecision::default()
+                    },
+                    20 => PolicyDecision {
+                        assignments: vec![(JobId(3), 0)],
+                        plans: vec![run_until_t(3)],
+                        ..PolicyDecision::default()
+                    },
+                    100 => {
+                        self.calls_at_t += 1;
+                        // Call 1 is the arrival trigger. Call 2, the first
+                        // plan-end trigger, replaces core 0's plan: core
+                        // 0's pending PlanEnd then goes stale — unless it
+                        // already fired, i.e. unless plan ends fired out
+                        // of install order.
+                        if self.calls_at_t == 2 {
+                            PolicyDecision {
+                                plans: vec![Some(CoreSchedule::default())],
+                                ..PolicyDecision::default()
+                            }
+                        } else {
+                            PolicyDecision::keep_all(v.num_cores())
+                        }
+                    }
+                    _ => PolicyDecision::keep_all(v.num_cores()),
+                }
+            }
+        }
+        let jobs = JobSet::new(vec![
+            job(0, 0, 100, 50.0),
+            job(1, 100, 500, 50.0),
+            job(2, 10, 500, 1000.0),
+            job(3, 20, 500, 1000.0),
+        ])
+        .unwrap();
+        let c = cfg(100, 2, 40.0);
+        let mut log = Log::default();
+        let _ = Simulator::run_observed(&c, &mut Script { calls_at_t: 0 }, &jobs, &mut log);
+        let at_t: Vec<ObsEvent> = log
+            .0
+            .iter()
+            .filter(|&&(t, _)| t == ms(100))
+            .map(|&(_, e)| e)
+            .collect();
+        let pos = |want: ObsEvent| {
+            at_t.iter()
+                .position(|&e| e == want)
+                .unwrap_or_else(|| panic!("no {want:?} at T in {at_t:?}"))
+        };
+        // The deadline settles the waiting job before the arrival batch
+        // (and so before the trigger the arrival fires).
+        assert!(
+            pos(ObsEvent::JobSettle {
+                job: JobId(0),
+                outcome: SettleOutcome::Zero,
+            }) < pos(ObsEvent::Arrivals { count: 1 }),
+            "{at_t:?}"
+        );
+        let dequeues: Vec<DequeueKind> = at_t
+            .iter()
+            .filter_map(|e| match *e {
+                ObsEvent::Dequeue { kind } => Some(kind),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            dequeues,
+            [
+                DequeueKind::Deadline,
+                DequeueKind::PlanEnd,
+                DequeueKind::PlanEnd,
+                DequeueKind::Quantum,
+            ]
+        );
+        // One plan-end trigger: core 1's PlanEnd (installed first) fired
+        // first, and the replan it triggered made core 0's stale. The
+        // quantum fires last.
+        let triggers: Vec<TriggerCause> = at_t
+            .iter()
+            .filter_map(|e| match *e {
+                ObsEvent::Trigger { cause } => Some(cause),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            triggers,
+            [
+                TriggerCause::Arrival,
+                TriggerCause::PlanEnd,
+                TriggerCause::Quantum,
+            ]
         );
     }
 

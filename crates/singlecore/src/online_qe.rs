@@ -128,7 +128,24 @@ pub fn online_qe_with_mode(
     budget: f64,
     mode: OnlineMode,
 ) -> OnlineQeOutcome {
-    QeSolver::default().solve(now, ready, model, budget, mode)
+    let (schedule, discarded) = QeSolver::default().solve(now, ready, model, budget, mode);
+    // Planned totals: sunk work plus what the schedule will run.
+    let mut planned_total: Vec<(JobId, f64)> = ready
+        .iter()
+        .map(|r| (r.job.id, r.processed.min(r.job.demand)))
+        .collect();
+    for s in schedule.slices() {
+        if let Some(t) = planned_total.iter_mut().find(|(id, _)| *id == s.job) {
+            t.1 += s.volume();
+        }
+    }
+    let s_max = model.speed_for_dynamic_power(budget);
+    OnlineQeOutcome {
+        schedule,
+        planned_total,
+        discarded,
+        max_speed: if s_max <= 0.0 { 0.0 } else { s_max },
+    }
 }
 
 /// Reusable Online-QE solver state: scratch buffers plus the most recent
@@ -155,7 +172,10 @@ pub struct QeSolver {
 }
 
 impl QeSolver {
-    /// Run one Online-QE invocation. See [`online_qe_with_mode`].
+    /// Run one Online-QE invocation (see [`online_qe_with_mode`]) and
+    /// return its schedule and its §V-D discards. The planned totals of
+    /// [`OnlineQeOutcome`] are left to [`online_qe_with_mode`]: DES, the
+    /// solver's hot caller, never reads them.
     pub fn solve(
         &mut self,
         now: SimTime,
@@ -163,19 +183,10 @@ impl QeSolver {
         model: &dyn PowerModel,
         budget: f64,
         mode: OnlineMode,
-    ) -> OnlineQeOutcome {
-        let mut planned_total: Vec<(JobId, f64)> = ready
-            .iter()
-            .map(|r| (r.job.id, r.processed.min(r.job.demand)))
-            .collect();
+    ) -> (CoreSchedule, Vec<JobId>) {
         let s_max = model.speed_for_dynamic_power(budget);
         if s_max <= 0.0 {
-            return OnlineQeOutcome {
-                schedule: CoreSchedule::default(),
-                planned_total,
-                discarded: vec![],
-                max_speed: 0.0,
-            };
+            return (CoreSchedule::default(), Vec::new());
         }
 
         self.active.clear();
@@ -362,18 +373,7 @@ impl QeSolver {
                 schedule
             }
         };
-        // Planned totals: sunk work plus what the schedule will run.
-        for s in schedule.slices() {
-            if let Some(t) = planned_total.iter_mut().find(|(id, _)| *id == s.job) {
-                t.1 += s.volume();
-            }
-        }
-        OnlineQeOutcome {
-            schedule,
-            planned_total,
-            discarded,
-            max_speed: s_max,
-        }
+        (schedule, discarded)
     }
 }
 

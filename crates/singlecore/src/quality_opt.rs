@@ -282,8 +282,12 @@ pub(crate) struct VolumeDecomposition {
     work: Vec<VJob>,
     /// Round in which each job index had its volume fixed.
     fixed_round: Vec<u32>,
-    /// `work` as of the start of each round (only kept when recording).
-    snapshots: Vec<Vec<VJob>>,
+    /// `work` as of the start of each round (only kept when recording),
+    /// stored back to back in one pooled buffer: round `k`'s snapshot is
+    /// `snap_jobs[snap_start[k]..snap_start[k + 1]]` (the last one runs
+    /// to the end).
+    snap_jobs: Vec<VJob>,
+    snap_start: Vec<usize>,
     /// The `(a, b)` chosen by each completed group round.
     chosen: Vec<(u64, u64)>,
     scratch: BdiScratch,
@@ -301,7 +305,8 @@ impl VolumeDecomposition {
     ) {
         self.work.clear();
         self.work.extend_from_slice(vjobs);
-        self.snapshots.clear();
+        self.snap_jobs.clear();
+        self.snap_start.clear();
         self.chosen.clear();
         self.fixed_round.clear();
         self.fixed_round.resize(vols.len(), u32::MAX);
@@ -322,16 +327,17 @@ impl VolumeDecomposition {
             .get(x as usize)
             .copied()
             .unwrap_or(u32::MAX);
-        if (k as usize) >= self.snapshots.len() {
+        if (k as usize) >= self.snap_start.len() {
             return false;
         }
         self.chosen[..k as usize]
             .iter()
-            .zip(&self.snapshots)
-            .all(|(&(a, b), snap)| {
+            .enumerate()
+            .all(|(round, &(a, b))| {
+                let (lo, hi) = self.snapshot_range(round);
                 let mut a_held = false;
                 let mut b_held = false;
-                for j in snap {
+                for j in &self.snap_jobs[lo..hi] {
                     if alive[j.id.0 as usize] {
                         a_held |= j.r == a;
                         b_held |= j.d == b;
@@ -353,14 +359,27 @@ impl VolumeDecomposition {
         vols: &mut [f64],
     ) {
         let k = self.fixed_round[x as usize] as usize;
-        debug_assert!(k < self.snapshots.len());
-        let snap = std::mem::take(&mut self.snapshots[k]);
+        debug_assert!(k < self.snap_start.len());
+        let (lo, hi) = self.snapshot_range(k);
+        let snap = &self.snap_jobs[lo..hi];
         self.work.clear();
         self.work
             .extend(snap.iter().filter(|j| alive[j.id.0 as usize]).copied());
-        self.snapshots.truncate(k);
+        self.snap_jobs.truncate(lo);
+        self.snap_start.truncate(k);
         self.chosen.truncate(k);
         self.run(k as u32, units_per_us, true, vols);
+    }
+
+    /// Where the job state recorded at the start of `round` lies in
+    /// `snap_jobs`.
+    fn snapshot_range(&self, round: usize) -> (usize, usize) {
+        let end = self
+            .snap_start
+            .get(round + 1)
+            .copied()
+            .unwrap_or(self.snap_jobs.len());
+        (self.snap_start[round], end)
     }
 
     fn run(&mut self, first_round: u32, units_per_us: f64, record: bool, vols: &mut [f64]) {
@@ -370,7 +389,8 @@ impl VolumeDecomposition {
                 break;
             }
             if record {
-                self.snapshots.push(self.work.clone());
+                self.snap_start.push(self.snap_jobs.len());
+                self.snap_jobs.extend_from_slice(&self.work);
             }
             match busiest_deprived_interval(&self.work, units_per_us, &mut self.scratch) {
                 None => {
