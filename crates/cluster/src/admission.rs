@@ -207,11 +207,6 @@ pub enum HedgePolicy {
 }
 
 impl HedgePolicy {
-    /// True when this policy never dispatches hedges.
-    pub fn is_disabled(&self) -> bool {
-        matches!(self, HedgePolicy::Disabled)
-    }
-
     /// Stable lowercase label for report keys and figure rows.
     pub fn label(&self) -> &'static str {
         match self {

@@ -93,13 +93,41 @@
 //!   goes to the shard with the lowest depth ÷ capacity score, ties
 //!   toward the lowest index. With no faults this is least-pending-work
 //!   routing; under brownouts it sheds load away from degraded shards.
+//!
+//! ## Per-shard state
+//!
+//! Each shard's scan state is one `ShardState`: its window, a cached
+//! queue depth, its routed-copy stream with a liveness flag per stream
+//! slot, and two per-slot side tables — twin links and attempt numbers.
+//!
+//! * **Cached depth.** The depth is `pending_demand`, a left fold of
+//!   the window's demands from `-0.0` (Rust's f64 `Sum`). Appending at
+//!   the window's back extends that fold by one `+= demand`: the same
+//!   additions in the same order, so the cached value is bitwise the
+//!   fold of the longer window. Retiring from the front, inserting
+//!   mid-window (hedge copies and retries carry older deadlines) or
+//!   draining on a crash changes the fold's leading terms, so those drop
+//!   the cache (a crash drain sets it to the empty fold), and Feedback,
+//!   the hedge target and Backpressure refold it lazily on their next
+//!   read. No f64 addition is reordered, so every score is the value a
+//!   full re-sum gives; debug builds assert that at every read. Empty
+//!   windows score `-0.0`, never `+0.0`: `total_cmp` orders the two, so
+//!   a mix would break shard ties differently.
+//! * **Twin links.** When a hedge fires, the primary's slot and the
+//!   hedge copy's slot point at each other. A crash that strands one of
+//!   them cancels it silently iff its twin is still alive; otherwise the
+//!   job retries. Copies placed by retries have no twin.
+//! * **Attempt numbers.** 0 for an original arrival and its hedge copy;
+//!   a retry re-places the stranded copy as attempt `k + 1`, where `k`
+//!   is the stranded slot's number, and the retry budget reads it.
+//!
+//! Fault-plan lookups are cached as well: the eligible set and every
+//! shard's capacity fraction are re-read only when the scan crosses a
+//! fault-window boundary (`FaultPlan::next_change`).
 
+use std::cell::Cell;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
-
-/// One shard's duelling jobs, `id → (processed, quality)`, fed to the
-/// first-wins duel settlement in the merge.
-type DuelOutcomes = BTreeMap<u32, (f64, f64)>;
+use std::collections::{BinaryHeap, VecDeque};
 
 use qes_core::job::{Job, JobId, JobSet};
 use qes_core::obs::{Event, NoopObserver, Observer, OutageKind};
@@ -183,20 +211,74 @@ type InFlight = VecDeque<(u64, f64, u32)>;
 /// window or candidate whose deadline is at or before `now_us` (zero
 /// slack) is clamped to a 1 µs floor so the density stays finite
 /// instead of underflowing or dividing by zero.
+///
+/// The running maximum takes a density only when it is strictly
+/// greater, which keeps `f64::max`'s NaN handling out of the loop's
+/// dependency chain. Both skip a NaN density and keep the same value
+/// otherwise; they could differ only on a `-0.0` density, which needs a
+/// negative demand (`Job::new` rejects those).
 fn probe_speed(window: &InFlight, now_us: u64, candidate: Option<(u64, f64)>) -> f64 {
-    let mut cum = 0.0;
-    let mut speed = 0.0f64;
-    for (d_us, w) in window.iter().map(|&(d, w, _)| (d, w)).chain(candidate) {
+    let (mut cum, mut speed) = (0.0, 0.0);
+    let mut push = |d_us: u64, w: f64| {
         cum += w;
-        speed = speed.max(cum * 1000.0 / d_us.saturating_sub(now_us).max(1) as f64);
+        let density = cum * 1000.0 / d_us.saturating_sub(now_us).max(1) as f64;
+        if density > speed {
+            speed = density;
+        }
+    };
+    let (front, back) = window.as_slices();
+    for part in [front, back] {
+        for &(d_us, w, _) in part {
+            push(d_us, w);
+        }
+    }
+    if let Some((d_us, w)) = candidate {
+        push(d_us, w);
     }
     speed
 }
 
 /// Sum of demands still in one shard's in-flight window — the "queue
-/// depth" a shard reports to [`RoutingPolicy::Feedback`].
+/// depth" a shard reports to [`RoutingPolicy::Feedback`]. A left fold
+/// in window order, starting from `-0.0` (Rust's f64 `Sum`).
 fn pending_demand(window: &InFlight) -> f64 {
     window.iter().map(|&(_, w, _)| w).sum()
+}
+
+/// [`pending_demand`] of an empty window: `-0.0`, not `+0.0`. Feedback
+/// compares scores with `total_cmp`, which orders `-0.0` first, so an
+/// empty window must score exactly this or shard ties break differently.
+const EMPTY_DEPTH: f64 = -0.0;
+
+/// The [`AdmissionPolicy::SlackFloor`] price of `job` on one shard: the
+/// best quality it can still earn there, as a fraction of `q_max`. The
+/// shard needs the probe speed of its window plus the job and delivers
+/// at most `eff_ghz` (its fault-degraded capacity), so the achievable
+/// completed fraction caps at `eff_ghz` / required.
+fn slack_ratio(
+    quality: &dyn QualityFunction,
+    job: &Job,
+    window: &InFlight,
+    eff_ghz: f64,
+    q_max: f64,
+) -> f64 {
+    let cand = (job.deadline.as_micros(), job.demand);
+    let s_req = probe_speed(window, job.release.as_micros(), Some(cand));
+    let frac = if s_req > 0.0 {
+        (eff_ghz / s_req).clamp(0.0, 1.0)
+    } else {
+        1.0
+    };
+    quality.job_quality(job, frac * job.demand) / q_max
+}
+
+/// The [`AdmissionPolicy::SlackFloor`] verdict on per-shard ratios,
+/// stopping at the first ratio that reaches the floor. It equals the
+/// max form `max(0, r_1..r_n) >= floor`: `f64::max` skips a NaN ratio
+/// and `NaN >= floor` is false, so the max reaches the floor iff
+/// `0 >= floor` or some `r_i >= floor`.
+fn clears_floor(mut ratios: impl Iterator<Item = f64>, floor: f64) -> bool {
+    0.0 >= floor || ratios.any(|r| r >= floor)
 }
 
 /// The candidate with the smallest `key`, the first one on ties. Each
@@ -207,6 +289,125 @@ fn argmin(candidates: impl Iterator<Item = usize>, key: impl Fn(usize) -> f64) -
         .map(|s| (s, key(s)))
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .map(|(s, _)| s)
+}
+
+/// `v[i] = x`, growing `v` with defaults first. Per-slot side tables
+/// ([`ShardState::twins`], [`ShardState::attempts`]) grow only as far as
+/// the last slot written, so a run that never hedges or retries keeps
+/// them empty.
+fn set_slot<T: Copy + Default>(v: &mut Vec<T>, slot: u32, x: T) {
+    let i = slot as usize;
+    if v.len() <= i {
+        v.resize(i + 1, T::default());
+    }
+    v[i] = x;
+}
+
+/// One shard's state in the dispatch scan.
+struct ShardState {
+    /// Routed jobs whose deadlines are still ahead, deadline-sorted.
+    window: InFlight,
+    /// [`pending_demand`] of `window`, or `None` once stale. A
+    /// back-append extends it in place (see [`ShardState::place`]);
+    /// anything else that changes the window clears it, and
+    /// [`ShardState::depth`] refolds on the next read.
+    cached_depth: Cell<Option<f64>>,
+    /// Routed-job stream in routing order, indexed by slot.
+    stream: Vec<Job>,
+    /// Whether each slot is still alive (not stranded by a crash).
+    alive: Vec<bool>,
+    /// Twin link per slot: the other copy `(shard, slot)` of a hedged
+    /// pair. Written only when a hedge fires; a missing entry is `None`.
+    twins: Vec<Option<(u32, u32)>>,
+    /// Attempt number per slot: 0 for an original arrival and its hedge
+    /// copy, `k` for the copy the `k`-th retry placed. Written only by
+    /// retries; a missing entry is 0.
+    attempts: Vec<u32>,
+    /// Backpressure hysteresis: whether the shard is shedding (its
+    /// in-flight demand crossed the cap and has not yet drained to the
+    /// resume level). Always false under every other admission policy.
+    shedding: bool,
+}
+
+impl ShardState {
+    fn new() -> Self {
+        ShardState {
+            window: InFlight::new(),
+            cached_depth: Cell::new(Some(EMPTY_DEPTH)),
+            stream: Vec::new(),
+            alive: Vec::new(),
+            twins: Vec::new(),
+            attempts: Vec::new(),
+            shedding: false,
+        }
+    }
+
+    /// Pending in-flight demand ([`pending_demand`] of the window): the
+    /// cached fold, refolded only when stale.
+    fn depth(&self) -> f64 {
+        let depth = self.cached_depth.get().unwrap_or_else(|| {
+            let d = pending_demand(&self.window);
+            self.cached_depth.set(Some(d));
+            d
+        });
+        debug_assert_eq!(
+            depth.to_bits(),
+            pending_demand(&self.window).to_bits(),
+            "cached shard depth differs from a fresh fold of its window"
+        );
+        depth
+    }
+
+    /// Retire every window entry due at or before `now_us`.
+    fn retire(&mut self, now_us: u64) {
+        let before = self.window.len();
+        while self.window.front().is_some_and(|&(d, _, _)| d <= now_us) {
+            self.window.pop_front();
+        }
+        if self.window.len() != before {
+            // The fold's first terms are gone; removing them by
+            // subtraction would not give the fold's bits back.
+            self.cached_depth.set(None);
+        }
+    }
+
+    /// Append `job` to the stream and to the deadline-sorted window;
+    /// returns the job's stream slot.
+    fn place(&mut self, job: Job) -> u32 {
+        let slot = self.stream.len() as u32;
+        self.stream.push(job);
+        self.alive.push(true);
+        let d_us = job.deadline.as_micros();
+        // Deadline-sorted insert; equal deadlines keep arrival order.
+        // For an agreeable stream with no retries this is the back.
+        let pos = self.window.partition_point(|&(d, _, _)| d <= d_us);
+        if pos == self.window.len() {
+            // The left fold of the longer window is the old fold plus
+            // this demand: the same additions in the same order.
+            if let Some(d) = self.cached_depth.get() {
+                self.cached_depth.set(Some(d + job.demand));
+            }
+        } else {
+            self.cached_depth.set(None);
+        }
+        self.window.insert(pos, (d_us, job.demand, slot));
+        slot
+    }
+
+    /// The other copy of `slot`, if `slot` is one half of a hedged
+    /// pair (alive or not).
+    fn twin(&self, slot: u32) -> Option<(usize, u32)> {
+        self.twins
+            .get(slot as usize)
+            .copied()
+            .flatten()
+            .map(|(s, sl)| (s as usize, sl))
+    }
+
+    /// The attempt number of the copy in `slot`.
+    fn attempt(&self, slot: u32) -> u32 {
+        self.attempts.get(slot as usize).copied().unwrap_or(0)
+    }
 }
 
 /// One hedge dispatch: a second copy of a slow job sent to another
@@ -263,6 +464,11 @@ pub struct DispatchPlan {
     pub retried: u64,
     /// Hedge dispatches, in fire order.
     pub hedges: Vec<HedgeRecord>,
+    /// Per shard, the duel copies it runs as `(job id, index into
+    /// hedges)`, sorted by id: two entries per duel, one on each of its
+    /// shards. The cluster merge joins a shard's job outcomes against
+    /// this list to settle the duels first-wins.
+    pub(crate) duel_copies: Vec<Vec<(u32, u32)>>,
     /// Dispatcher-level observability events (admission rejects, retry
     /// re-releases, hedge dispatches) in scan order — timestamps are
     /// non-decreasing, ready to replay into an [`Observer`].
@@ -293,19 +499,15 @@ struct Router<'a> {
     plan: &'a FaultPlan,
     quality: &'a dyn QualityFunction,
     admission: &'a AdmissionPolicy,
-    inflight: Vec<InFlight>,
+    shards: Vec<ShardState>,
     /// Shards outside a crash window at the last [`Router::retire`]
     /// instant, ascending.
     eligible: Vec<usize>,
-    /// Per-shard routed-job stream (in routing order) and whether each
-    /// entry is still alive (not stranded by a later crash).
-    streams: Vec<Vec<Job>>,
-    alive: Vec<Vec<bool>>,
-    /// Backpressure hysteresis: whether each shard is currently
-    /// shedding (in-flight demand crossed the cap and has not yet
-    /// drained to the resume level). All-false under every other
-    /// admission policy.
-    shedding: Vec<bool>,
+    /// Each shard's capacity fraction at that instant.
+    capacity: Vec<f64>,
+    /// The instants `[from, until)` over which no shard's fault state
+    /// changes, so `eligible` and `capacity` stay valid.
+    fault_span: (SimTime, SimTime),
     rr: usize,
     rng: Option<StdRng>,
 }
@@ -313,25 +515,41 @@ struct Router<'a> {
 impl Router<'_> {
     /// Advance to `now`: retire expired in-flight entries everywhere,
     /// so counts and probes see only live work (windows are
-    /// deadline-FIFO), and refill [`Router::eligible`].
+    /// deadline-FIFO), and bring [`Router::eligible`] and
+    /// [`Router::capacity`] to `now` (re-read from the plan only when
+    /// `now` leaves [`Router::fault_span`]).
     fn retire(&mut self, now: SimTime) {
         let now_us = now.as_micros();
-        for w in &mut self.inflight {
-            while w.front().is_some_and(|&(d, _, _)| d <= now_us) {
-                w.pop_front();
-            }
+        for sh in &mut self.shards {
+            sh.retire(now_us);
         }
-        let (plan, shards) = (self.plan, self.inflight.len());
-        self.eligible.clear();
-        self.eligible
-            .extend((0..shards).filter(|&s| !plan.is_crashed(s, now)));
+        let (from, until) = self.fault_span;
+        if now < from || now >= until {
+            let plan = self.plan;
+            let shards = 0..self.shards.len();
+            self.eligible.clear();
+            self.eligible
+                .extend(shards.clone().filter(|&s| !plan.is_crashed(s, now)));
+            self.capacity.clear();
+            self.capacity
+                .extend(shards.clone().map(|s| plan.capacity_fraction(s, now)));
+            let until = shards.map(|s| plan.next_change(s, now)).min();
+            self.fault_span = (now, until.unwrap_or(SimTime::MAX));
+        }
+        debug_assert!(
+            (0..self.shards.len()).all(|s| {
+                self.capacity[s].to_bits() == self.plan.capacity_fraction(s, now).to_bits()
+                    && self.eligible.contains(&s) != self.plan.is_crashed(s, now)
+            }),
+            "cached fault state differs from the plan at {now:?}"
+        );
     }
 
-    /// Feedback score of `shard` at `now`: pending in-flight demand ÷
-    /// capacity fraction, so a shard at half capacity looks twice as
-    /// deep.
-    fn depth(&self, shard: usize, now: SimTime) -> f64 {
-        pending_demand(&self.inflight[shard]) / self.plan.capacity_fraction(shard, now)
+    /// Feedback score of `shard` at the last [`Router::retire`] instant:
+    /// pending in-flight demand ÷ capacity fraction, so a shard at half
+    /// capacity looks twice as deep.
+    fn depth(&self, shard: usize) -> f64 {
+        self.shards[shard].depth() / self.capacity[shard]
     }
 
     /// Overload-admission verdict for one *original* arrival (retries
@@ -339,8 +557,6 @@ impl Router<'_> {
     /// [`Router::retire`] found an eligible shard. Updates the
     /// backpressure hysteresis state as a side effect.
     fn admits(&mut self, job: &Job) -> bool {
-        let now = job.release;
-        let now_us = now.as_micros();
         match *self.admission {
             AdmissionPolicy::AcceptAll => true,
             AdmissionPolicy::SlackFloor {
@@ -353,37 +569,33 @@ impl Router<'_> {
                     // A zero-mass job can't fall below any floor.
                     return true;
                 }
-                let cand = (job.deadline.as_micros(), job.demand);
-                let mut best = 0.0f64;
-                for &s in &self.eligible {
-                    // Required speed to clear this shard's window plus
-                    // the candidate; the shard can deliver at most its
-                    // (fault-degraded) capacity, so the achievable
-                    // completed fraction caps at eff / required.
-                    let s_req = probe_speed(&self.inflight[s], now_us, Some(cand));
-                    let eff = capacity_ghz * self.plan.capacity_fraction(s, now);
-                    let frac = if s_req > 0.0 {
-                        (eff / s_req).clamp(0.0, 1.0)
-                    } else {
-                        1.0
-                    };
-                    let q = self.quality.job_quality(job, frac * job.demand);
-                    best = best.max(q / q_max);
-                }
-                best >= floor
+                let this = &*self;
+                let ratios = || {
+                    this.eligible.iter().map(move |&s| {
+                        let eff = capacity_ghz * this.capacity[s];
+                        slack_ratio(this.quality, job, &this.shards[s].window, eff, q_max)
+                    })
+                };
+                let admit = clears_floor(ratios(), floor);
+                debug_assert_eq!(
+                    admit,
+                    ratios().fold(0.0, f64::max) >= floor,
+                    "first-pass slack-floor verdict differs from the max form"
+                );
+                admit
             }
             AdmissionPolicy::Backpressure { cap, resume } => {
-                for (s, w) in self.inflight.iter().enumerate() {
-                    let depth = pending_demand(w);
-                    if self.shedding[s] {
+                for sh in &mut self.shards {
+                    let depth = sh.depth();
+                    if sh.shedding {
                         if depth <= resume {
-                            self.shedding[s] = false;
+                            sh.shedding = false;
                         }
                     } else if depth >= cap {
-                        self.shedding[s] = true;
+                        sh.shedding = true;
                     }
                 }
-                !self.eligible.iter().all(|&s| self.shedding[s])
+                !self.eligible.iter().all(|&s| self.shards[s].shedding)
             }
         }
     }
@@ -408,7 +620,7 @@ impl Router<'_> {
                     .copied()
                     .find(|&s| s >= self.rr)
                     .unwrap_or(self.eligible[0]);
-                self.rr = (s + 1) % self.inflight.len();
+                self.rr = (s + 1) % self.shards.len();
                 s
             }
             RoutingPolicy::Random { .. } => {
@@ -420,34 +632,19 @@ impl Router<'_> {
                 let n = self.eligible.len();
                 self.eligible[((u * n as f64) as usize).min(n - 1)]
             }
-            RoutingPolicy::Jsq => argmin(eligible, |s| self.inflight[s].len() as f64)?,
+            RoutingPolicy::Jsq => argmin(eligible, |s| self.shards[s].window.len() as f64)?,
             RoutingPolicy::LeastEnergy => {
                 let cand = Some((job.deadline.as_micros(), job.demand));
                 argmin(eligible, |s| {
-                    let w = &self.inflight[s];
+                    let w = &self.shards[s].window;
                     let before = self.model.dynamic_power(probe_speed(w, now_us, None));
                     let after = self.model.dynamic_power(probe_speed(w, now_us, cand));
                     after - before
                 })?
             }
-            RoutingPolicy::Feedback => argmin(eligible, |s| self.depth(s, now))?,
+            RoutingPolicy::Feedback => argmin(eligible, |s| self.depth(s))?,
         };
-        Some((shard, self.place(shard, job)))
-    }
-
-    /// Append `job` to `shard`'s stream and to its deadline-sorted
-    /// window; returns the job's stream slot.
-    fn place(&mut self, shard: usize, job: Job) -> u32 {
-        let slot = self.streams[shard].len() as u32;
-        self.streams[shard].push(job);
-        self.alive[shard].push(true);
-        let d_us = job.deadline.as_micros();
-        let w = &mut self.inflight[shard];
-        // Deadline-sorted insert; equal deadlines keep arrival order.
-        // For an agreeable stream with no retries this is the back.
-        let pos = w.partition_point(|&(d, _, _)| d <= d_us);
-        w.insert(pos, (d_us, job.demand, slot));
-        slot
+        Some((shard, self.shards[shard].place(job)))
     }
 }
 
@@ -466,9 +663,10 @@ impl Router<'_> {
 ///   classes stay disjoint). Retries and hedge copies bypass
 ///   admission: the cluster has already invested in them. The quality
 ///   function is consulted only by [`AdmissionPolicy::SlackFloor`].
-/// * **Retry budget** (`overload.retry`): a stranded copy's attempt
-///   counter increments per strand; past `max_attempts` it gives up
-///   into `dropped`. Otherwise it re-releases after
+/// * **Retry budget** (`overload.retry`): a stranded copy retries as
+///   attempt `k + 1`, where `k` is its own attempt number (0 for an
+///   original or hedge copy); past `max_attempts` it gives up into
+///   `dropped`. Otherwise it re-releases after
 ///   [`RetryPolicy::delay_for`](crate::admission::RetryPolicy::delay_for)
 ///   (the plan's fixed delay by default; exponential backoff, seeded
 ///   jitter), keeping its original deadline; a re-release at or past
@@ -504,18 +702,17 @@ pub fn dispatch_protected(
     assert!(shards > 0, "a cluster needs at least one shard");
     assert_eq!(plan.shards(), shards, "fault plan must cover every shard");
     overload.validate();
-    let hedging = !overload.hedge.is_disabled();
     let mut router = Router {
         routing,
         model,
         plan,
         quality,
         admission: &overload.admission,
-        inflight: vec![InFlight::new(); shards],
+        shards: (0..shards).map(|_| ShardState::new()).collect(),
         eligible: Vec::with_capacity(shards),
-        streams: vec![Vec::new(); shards],
-        alive: vec![Vec::new(); shards],
-        shedding: vec![false; shards],
+        capacity: Vec::with_capacity(shards),
+        // Empty: the first `retire` reads the plan.
+        fault_span: (SimTime::MAX, SimTime::ZERO),
         rr: 0,
         rng: match routing {
             RoutingPolicy::Random { seed } => Some(StdRng::seed_from_u64(*seed)),
@@ -530,13 +727,6 @@ pub fn dispatch_protected(
         .filter(|&(t, _)| t < end)
         .map(|(t, s)| Reverse((t.as_micros(), Class::Crash, s as u64, 0, s, 0)))
         .collect();
-    // Strand count per original job id (the retry budget's meter).
-    let mut attempts: BTreeMap<u32, u32> = BTreeMap::new();
-    // Live copy locations per job id — maintained only while hedging
-    // (the invariant "at most one alive copy per (id, shard)" holds
-    // because hedge targets always differ from the primary shard and
-    // retries fire only when no copy is alive).
-    let mut copies: BTreeMap<u32, Vec<(usize, u32)>> = BTreeMap::new();
 
     let mut assignment: Vec<u32> = Vec::with_capacity(jobs.len());
     let mut dropped: Vec<(SimTime, Job)> = Vec::new();
@@ -576,54 +766,47 @@ pub fn dispatch_protected(
                 continue;
             };
             assignment.push(s as u32);
-            if hedging {
-                copies.insert(job.id.0, vec![(s, slot)]);
-                if let HedgePolicy::SlackFraction { fraction } = overload.hedge {
-                    let r_us = job.release.as_micros();
-                    let d_us = job.deadline.as_micros();
-                    let h_us = r_us + ((d_us - r_us) as f64 * fraction) as u64;
-                    // Only hedge when the fire instant lies strictly
-                    // inside the job's window and before the horizon.
-                    if h_us > r_us && h_us < d_us && SimTime::from_micros(h_us) < end {
-                        queue.push(Reverse((h_us, Class::Hedge, d_us, job.id.0, s, slot)));
-                    }
+            if let HedgePolicy::SlackFraction { fraction } = overload.hedge {
+                let r_us = job.release.as_micros();
+                let d_us = job.deadline.as_micros();
+                let h_us = r_us + ((d_us - r_us) as f64 * fraction) as u64;
+                // Only hedge when the fire instant lies strictly inside
+                // the job's window and before the horizon.
+                if h_us > r_us && h_us < d_us && SimTime::from_micros(h_us) < end {
+                    queue.push(Reverse((h_us, Class::Hedge, d_us, job.id.0, s, slot)));
                 }
             }
             continue;
         }
 
-        let Reverse((at_us, class, _, id, shard, slot)) = queue.pop().expect("queue checked above");
+        let Reverse((at_us, class, _, _, shard, slot)) = queue.pop().expect("queue checked above");
         let at = SimTime::from_micros(at_us);
         router.retire(at);
         match class {
             Class::Crash => {
                 // Retirement left only jobs due after the crash in the
                 // window (the rest completed before it): strand them.
-                let w = &mut router.inflight[shard];
-                for (_, _, slot) in w.drain(..) {
-                    let job = router.streams[shard][slot as usize];
-                    router.alive[shard][slot as usize] = false;
+                while let Some((_, _, slot)) = router.shards[shard].window.pop_front() {
+                    let sh = &mut router.shards[shard];
+                    let job = sh.stream[slot as usize];
+                    sh.alive[slot as usize] = false;
                     redispatches.push((at, job.id, shard as u32));
-                    if hedging {
-                        if let Some(locs) = copies.get_mut(&job.id.0) {
-                            locs.retain(|&(s, sl)| !(s == shard && sl == slot));
-                            if !locs.is_empty() {
-                                // The twin copy survives: cancel this
-                                // strand silently — no retry, no drop.
-                                continue;
-                            }
+                    if let Some((ts, tsl)) = sh.twin(slot) {
+                        if router.shards[ts].alive[tsl as usize] {
+                            // The twin copy survives: cancel this
+                            // strand silently — no retry, no drop.
+                            continue;
                         }
                     }
-                    let attempt = attempts.entry(job.id.0).or_insert(0);
-                    *attempt += 1;
-                    if *attempt > overload.retry.max_attempts {
+                    let attempt = router.shards[shard].attempt(slot) + 1;
+                    if attempt > overload.retry.max_attempts {
                         // Retry budget exhausted: give up cleanly.
                         dropped.push((at, job));
                         continue;
                     }
                     let delay = overload
                         .retry
-                        .delay_for(*attempt, plan.retry_delay(), job.id.0);
+                        .delay_for(attempt, plan.retry_delay(), job.id.0);
                     let release = at + delay;
                     if release >= job.deadline || release > end {
                         dropped.push((at, job));
@@ -639,16 +822,21 @@ pub fn dispatch_protected(
                         )));
                     }
                 }
+                router.shards[shard].cached_depth.set(Some(EMPTY_DEPTH));
             }
             Class::Retry => {
+                // The retry re-releases the stranded copy in
+                // `(shard, slot)` and carries its attempt number on.
+                let stranded = &router.shards[shard];
+                let attempt = stranded.attempt(slot) + 1;
                 let job = Job {
                     release: at,
-                    ..router.streams[shard][slot as usize]
+                    ..stranded.stream[slot as usize]
                 };
                 match router.admit(job) {
                     Some((s, slot)) => {
                         retried += 1;
-                        let attempt = attempts[&id];
+                        set_slot(&mut router.shards[s].attempts, slot, attempt);
                         events.push((
                             at,
                             Event::Retry {
@@ -656,15 +844,12 @@ pub fn dispatch_protected(
                                 attempt,
                             },
                         ));
-                        if hedging {
-                            copies.insert(id, vec![(s, slot)]);
-                        }
                     }
                     None => dropped.push((at, job)),
                 }
             }
             Class::Hedge => {
-                if !router.alive[shard][slot as usize] {
+                if !router.shards[shard].alive[slot as usize] {
                     // The primary was stranded before the hedge fired;
                     // the retry path owns the job now.
                     continue;
@@ -672,13 +857,22 @@ pub fn dispatch_protected(
                 // Next-best healthy shard, excluding the primary's, by
                 // feedback score.
                 let others = router.eligible.iter().copied().filter(|&s| s != shard);
-                let Some(to) = argmin(others, |s| router.depth(s, at)) else {
+                let Some(to) = argmin(others, |s| router.depth(s)) else {
                     // No healthy twin shard: skip this hedge.
                     continue;
                 };
-                let job = router.streams[shard][slot as usize];
-                let hedge_slot = router.place(to, Job { release: at, ..job });
-                copies.entry(id).or_default().push((to, hedge_slot));
+                let job = router.shards[shard].stream[slot as usize];
+                let hedge_slot = router.shards[to].place(Job { release: at, ..job });
+                set_slot(
+                    &mut router.shards[shard].twins,
+                    slot,
+                    Some((to as u32, hedge_slot)),
+                );
+                set_slot(
+                    &mut router.shards[to].twins,
+                    hedge_slot,
+                    Some((shard as u32, slot)),
+                );
                 events.push((
                     at,
                     Event::Hedge {
@@ -701,21 +895,30 @@ pub fn dispatch_protected(
     }
 
     // A hedge whose both copies survived to simulation is a duel; the
-    // merged report settles it first-wins.
-    for h in &mut hedges {
-        h.duel = router.alive[h.from as usize][h.primary_slot as usize]
-            && router.alive[h.to as usize][h.hedge_slot as usize];
+    // merged report settles it first-wins, finding each copy's outcome
+    // through its shard's `(id, hedge index)` list.
+    let mut duel_copies: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shards];
+    for (k, h) in hedges.iter_mut().enumerate() {
+        let alive = |s: u32, slot: u32| router.shards[s as usize].alive[slot as usize];
+        h.duel = alive(h.from, h.primary_slot) && alive(h.to, h.hedge_slot);
+        if h.duel {
+            duel_copies[h.from as usize].push((h.job.id.0, k as u32));
+            duel_copies[h.to as usize].push((h.job.id.0, k as u32));
+        }
+    }
+    for copies in &mut duel_copies {
+        copies.sort_unstable();
     }
     let duels = hedges.iter().filter(|h| h.duel).count();
 
     let shard_jobs: Vec<JobSet> = router
-        .streams
+        .shards
         .into_iter()
-        .zip(router.alive)
-        .map(|(stream, alive)| {
-            let survivors: Vec<Job> = stream
+        .map(|sh| {
+            let survivors: Vec<Job> = sh
+                .stream
                 .into_iter()
-                .zip(alive)
+                .zip(sh.alive)
                 .filter_map(|(j, a)| a.then_some(j))
                 .collect();
             // Retries keep original deadlines, so a shard's stream may
@@ -739,6 +942,7 @@ pub fn dispatch_protected(
         redispatches,
         retried,
         hedges,
+        duel_copies,
         events,
     }
 }
@@ -1082,16 +1286,8 @@ impl ClusterEngine {
         for &(t, job, from) in &dispatch.redispatches {
             redispatched[from as usize].push((t, job));
         }
-        // Ids of hedge duels: both copies run, so the merge must
-        // harvest their per-shard outcomes and settle first-wins.
-        let duel_ids: BTreeSet<u32> = dispatch
-            .hedges
-            .iter()
-            .filter(|h| h.duel)
-            .map(|h| h.job.id.0)
-            .collect();
 
-        let runs: Vec<((ShardRun, O), DuelOutcomes)> = (0..self.shards)
+        let runs: Vec<_> = (0..self.shards)
             .into_par_iter()
             .map(|i| {
                 let mut obs = make_observer(i);
@@ -1110,7 +1306,7 @@ impl ClusterEngine {
                     &shard_jobs[i],
                     &self.fault,
                     &redispatched[i],
-                    &duel_ids,
+                    &dispatch.duel_copies[i],
                     &make_policy,
                     self.meter.is_some(),
                     &mut obs,
@@ -1157,13 +1353,23 @@ impl ClusterEngine {
         // happened. Quality comparison uses `total_cmp`, ties go to the
         // primary, so the settlement is deterministic.
         let mut hedges_won = 0u64;
-        for h in &dispatch.hedges {
+        // Each shard's outcomes are sorted by hedge index and the walk
+        // below goes in index order, so a shard's next unread outcome
+        // is the current duel's copy there, if that copy settled.
+        let mut next = vec![0usize; self.shards];
+        for (k, h) in dispatch.hedges.iter().enumerate() {
             if !h.duel {
                 continue;
             }
-            let primary = duel_outcomes[h.from as usize].get(&h.job.id.0);
-            let hedge = duel_outcomes[h.to as usize].get(&h.job.id.0);
-            let (Some(&(pw, pq)), Some(&(hw, hq))) = (primary, hedge) else {
+            let mut settled = |s: u32| {
+                let (outcomes, i) = (&duel_outcomes[s as usize], &mut next[s as usize]);
+                let &(hedge, processed, quality) = outcomes.get(*i)?;
+                (hedge as usize == k).then(|| {
+                    *i += 1;
+                    (processed, quality)
+                })
+            };
+            let (Some((pw, pq)), Some((hw, hq))) = (settled(h.from), settled(h.to)) else {
                 continue;
             };
             let hedge_wins = hq.total_cmp(&pq) == Ordering::Greater;
@@ -1228,13 +1434,17 @@ impl ClusterEngine {
 /// jobs). Jobs spanning a non-final epoch boundary are truncated at the
 /// boundary (drain-on-reconfigure: the shard settles in-flight work
 /// when its capacity state changes). With no fault windows this is one
-/// healthy epoch over `[0, end)` — bitwise the fault-free path.
-/// `hedged` lists the job ids duelling across shards: their
-/// `(id, processed, quality)` outcomes are harvested from the per-epoch
-/// detailed stats so the cluster merge can settle first-wins. With an
-/// empty set (every default-path run) nothing is harvested —
-/// [`Simulator::run_observed`] is itself a thin wrapper over the
-/// detailed run, so requesting stats changes no simulation arithmetic.
+/// healthy epoch over `[0, end)` — bitwise the fault-free path — and
+/// the engine runs on `jobs` itself, since rebasing by a zero start
+/// with no truncation maps every job to itself.
+/// `duels` lists this shard's duel copies as `(job id, hedge index)`,
+/// sorted by id ([`DispatchPlan::duel_copies`]): their outcomes are
+/// joined against it from the per-epoch detailed stats and returned as
+/// `(hedge index, processed, quality)` sorted by hedge index, so the
+/// cluster merge can settle first-wins. With an empty list (every
+/// default-path run) nothing is harvested — [`Simulator::run_observed`]
+/// is itself a thin wrapper over the detailed run, so requesting stats
+/// changes no simulation arithmetic.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_epochs<O, F>(
     cfg: &SimConfig<'_>,
@@ -1242,22 +1452,22 @@ fn run_shard_epochs<O, F>(
     jobs: &JobSet,
     plan: &FaultPlan,
     redispatched: &[(SimTime, JobId)],
-    hedged: &BTreeSet<u32>,
+    duels: &[(u32, u32)],
     make_policy: &F,
     metered: bool,
     obs: &mut O,
-) -> (SimReport, SimTrace, DuelOutcomes)
+) -> (SimReport, SimTrace, Vec<(u32, f64, f64)>)
 where
     O: Observer,
     F: Fn(usize) -> Box<dyn SchedulingPolicy> + Sync + Send,
 {
     let epochs = plan.epochs(shard, cfg.end);
-    let all: Vec<Job> = jobs.iter().copied().collect();
+    let all = jobs.jobs();
     let mut cursor = 0usize;
     let mut redisp = redispatched.iter().peekable();
     let mut merged: Option<SimReport> = None;
     let mut full_trace = SimTrace::default();
-    let mut duel_outcomes = DuelOutcomes::new();
+    let mut duel_outcomes = Vec::with_capacity(duels.len());
 
     for (k, ep) in epochs.iter().enumerate() {
         let is_final = k + 1 == epochs.len();
@@ -1315,26 +1525,34 @@ where
                 _ => (cfg.num_cores, cfg.budget),
             };
             let local_end = SimTime::ZERO + ep.end.saturating_since(ep.start);
-            let local_jobs: Vec<Job> = slice
-                .iter()
-                .map(|j| {
-                    // Drain-on-reconfigure: a job spanning a non-final
-                    // epoch boundary settles (with whatever quality its
-                    // processed fraction earned) when the capacity
-                    // state changes.
-                    let deadline = if !is_final && j.deadline > ep.end {
-                        ep.end
-                    } else {
-                        j.deadline
-                    };
-                    Job {
-                        release: SimTime::ZERO + j.release.saturating_since(ep.start),
-                        deadline: SimTime::ZERO + deadline.saturating_since(ep.start),
-                        ..*j
-                    }
-                })
-                .collect();
-            let local_set = JobSet::new_unchecked(local_jobs);
+            let rebased;
+            let local_set = if ep.start == SimTime::ZERO && is_final {
+                // One epoch over the whole run: every job maps to itself.
+                jobs
+            } else {
+                rebased = JobSet::new_unchecked(
+                    slice
+                        .iter()
+                        .map(|j| {
+                            // Drain-on-reconfigure: a job spanning a
+                            // non-final epoch boundary settles (with
+                            // whatever quality its processed fraction
+                            // earned) when the capacity state changes.
+                            let deadline = if !is_final && j.deadline > ep.end {
+                                ep.end
+                            } else {
+                                j.deadline
+                            };
+                            Job {
+                                release: SimTime::ZERO + j.release.saturating_since(ep.start),
+                                deadline: SimTime::ZERO + deadline.saturating_since(ep.start),
+                                ..*j
+                            }
+                        })
+                        .collect(),
+                );
+                &rebased
+            };
             let scfg = SimConfig {
                 num_cores: cores,
                 budget,
@@ -1350,11 +1568,11 @@ where
                 base: ep.start,
             };
             let (rep, trace, stats) =
-                Simulator::run_detailed_observed(&scfg, policy.as_mut(), &local_set, &mut off);
-            if !hedged.is_empty() {
+                Simulator::run_detailed_observed(&scfg, policy.as_mut(), local_set, &mut off);
+            if !duels.is_empty() {
                 for o in stats.outcomes() {
-                    if hedged.contains(&o.id.0) {
-                        duel_outcomes.insert(o.id.0, (o.processed, o.quality));
+                    if let Ok(i) = duels.binary_search_by_key(&o.id.0, |&(id, _)| id) {
+                        duel_outcomes.push((duels[i].1, o.processed, o.quality));
                     }
                 }
             }
@@ -1388,6 +1606,7 @@ where
     });
     // Epoch horizons are local; the shard's report spans the full run.
     report.sim_seconds = cfg.end.as_secs_f64();
+    duel_outcomes.sort_unstable_by_key(|&(hedge, _, _)| hedge);
     (report, full_trace, duel_outcomes)
 }
 
@@ -2094,6 +2313,273 @@ mod tests {
             SimTime::from_secs(1),
         );
         assert!(d2.retried >= d.retried);
+    }
+
+    /// A crash window `[from_ms, to_ms)` on `shard` of `plan`.
+    fn crash(plan: FaultPlan, shard: usize, from_ms: u64, to_ms: u64) -> FaultPlan {
+        plan.with_window(
+            shard,
+            FaultWindow {
+                start: SimTime::from_millis(from_ms),
+                end: SimTime::from_millis(to_ms),
+                kind: FaultKind::Crash,
+            },
+        )
+    }
+
+    #[test]
+    fn stranded_hedge_twins_cancel_while_the_other_copy_lives() {
+        // Three shards, one job due at 400 ms, hedged at 50 % slack.
+        // The primary goes to shard 0 (round-robin) and the hedge copy
+        // to shard 1 at 200 ms (both others empty: lowest index). Shard
+        // 0 crashes at 250 ms: the primary strands while its twin
+        // lives, so it is cancelled silently — no retry. Shard 1
+        // crashes at 300 ms: the hedge copy strands with no live twin,
+        // so the job retries exactly once, as attempt 1, onto shard 2.
+        let jobs = JobSet::new(vec![Job::new(
+            0,
+            SimTime::ZERO,
+            SimTime::from_millis(400),
+            100.0,
+        )
+        .unwrap()])
+        .unwrap();
+        let plan = crash(crash(FaultPlan::none(3), 0, 250, 1000), 1, 300, 1000)
+            .with_retry_delay(SimDuration::from_millis(10));
+        let overload = OverloadPolicy {
+            hedge: HedgePolicy::SlackFraction { fraction: 0.5 },
+            ..OverloadPolicy::default()
+        };
+        let d = dispatch_protected(
+            &jobs,
+            3,
+            &RoutingPolicy::RoundRobin,
+            &PolynomialPower::PAPER_SIM,
+            &ExpQuality::PAPER_DEFAULT,
+            &plan,
+            &overload,
+            SimTime::from_secs(1),
+        );
+        assert_eq!(d.hedges.len(), 1);
+        let h = d.hedges[0];
+        assert_eq!((h.from, h.to, h.at), (0, 1, SimTime::from_millis(200)));
+        assert!(!h.duel, "a stranded copy never duels");
+        assert!(d.duel_copies.iter().all(Vec::is_empty));
+        assert_eq!(
+            d.redispatches,
+            vec![
+                (SimTime::from_millis(250), JobId(0), 0),
+                (SimTime::from_millis(300), JobId(0), 1),
+            ]
+        );
+        assert_eq!(d.retried, 1);
+        assert!(d.dropped.is_empty());
+        let retries: Vec<_> = d
+            .events
+            .iter()
+            .filter(|(_, e)| matches!(e, Event::Retry { .. }))
+            .collect();
+        assert!(
+            matches!(
+                retries.as_slice(),
+                [(at, Event::Retry { job: JobId(0), attempt: 1 })]
+                    if *at == SimTime::from_millis(310)
+            ),
+            "{retries:?}"
+        );
+        let lens: Vec<usize> = d.shard_jobs.iter().map(JobSet::len).collect();
+        assert_eq!(lens, vec![0, 0, 1]);
+    }
+
+    #[test]
+    fn each_retry_carries_the_attempt_number_on() {
+        // Three shards crash in turn at 10, 30 and 50 ms under a
+        // 2-attempt budget. Round-robin moves the job 0 -> 1 -> 2: the
+        // retries are attempts 1 and 2, and the third strand drops it.
+        let jobs = JobSet::new(vec![Job::new(
+            0,
+            SimTime::ZERO,
+            SimTime::from_millis(400),
+            100.0,
+        )
+        .unwrap()])
+        .unwrap();
+        let plan = [(0, 10), (1, 30), (2, 50)]
+            .into_iter()
+            .fold(FaultPlan::none(3), |p, (shard, at)| {
+                crash(p, shard, at, 390)
+            })
+            .with_retry_delay(SimDuration::from_millis(10));
+        let overload = OverloadPolicy {
+            retry: RetryPolicy {
+                max_attempts: 2,
+                ..RetryPolicy::default()
+            },
+            ..OverloadPolicy::default()
+        };
+        let d = dispatch_protected(
+            &jobs,
+            3,
+            &RoutingPolicy::RoundRobin,
+            &PolynomialPower::PAPER_SIM,
+            &ExpQuality::PAPER_DEFAULT,
+            &plan,
+            &overload,
+            SimTime::from_secs(1),
+        );
+        let retries: Vec<(u64, u32)> = d
+            .events
+            .iter()
+            .filter_map(|(at, e)| match e {
+                Event::Retry { attempt, .. } => Some((at.as_micros() / 1000, *attempt)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(retries, vec![(20, 1), (40, 2)]);
+        assert_eq!(d.retried, 2);
+        assert_eq!(d.dropped.len(), 1);
+        assert_eq!(d.dropped[0].0, SimTime::from_millis(50));
+    }
+
+    #[test]
+    fn feedback_ties_empty_windows_to_the_lowest_index_however_they_emptied() {
+        // Two shards. Shard `drained` loses its job to a crash drain
+        // (the retry lands past the deadline and is dropped); the other
+        // shard's job retires at its deadline. At 200 ms both windows
+        // are empty, so a tying arrival goes to shard 0 and the next to
+        // shard 1 — in both orientations. An empty window must score
+        // `-0.0` whichever way it emptied: `total_cmp` orders `-0.0`
+        // below `+0.0`.
+        for drained in [0usize, 1] {
+            let due = |shard: usize| if shard == drained { 150 } else { 100 };
+            let job = |id: u32, at_ms: u64, due_ms: u64| {
+                Job::new(
+                    id,
+                    SimTime::from_millis(at_ms),
+                    SimTime::from_millis(due_ms),
+                    100.0,
+                )
+                .unwrap()
+            };
+            let jobs = JobSet::new(vec![
+                job(0, 0, due(0)),
+                job(1, 0, due(1)),
+                job(2, 200, 350),
+                job(3, 200, 350),
+            ])
+            .unwrap();
+            let plan = crash(FaultPlan::none(2), drained, 50, 60)
+                .with_retry_delay(SimDuration::from_millis(200));
+            let d = faulted(
+                &jobs,
+                2,
+                &RoutingPolicy::Feedback,
+                &plan,
+                SimTime::from_secs(1),
+            );
+            assert_eq!(d.assignment, vec![0, 1, 0, 1], "drained shard {drained}");
+            assert_eq!(d.dropped.len(), 1, "drained shard {drained}");
+            assert_eq!(d.redispatches.len(), 1, "drained shard {drained}");
+        }
+    }
+
+    #[test]
+    fn empty_window_depth_is_negative_zero() {
+        assert_eq!(
+            pending_demand(&InFlight::new()).to_bits(),
+            EMPTY_DEPTH.to_bits()
+        );
+        assert!(EMPTY_DEPTH.is_sign_negative());
+        let sh = ShardState::new();
+        assert_eq!(sh.depth().to_bits(), EMPTY_DEPTH.to_bits());
+    }
+
+    #[test]
+    fn cached_depth_matches_a_fresh_fold_through_appends_inserts_and_retirement() {
+        let job = |id: u32, due_us: u64, demand: f64| Job {
+            id: JobId(id),
+            release: SimTime::ZERO,
+            deadline: SimTime::from_micros(due_us),
+            demand,
+            partial: true,
+        };
+        let mut sh = ShardState::new();
+        let same = |sh: &ShardState| sh.depth().to_bits() == pending_demand(&sh.window).to_bits();
+        for (i, (due, w)) in [(10, 0.1), (20, 0.2), (30, 1e16), (15, 0.3), (40, 0.7)]
+            .into_iter()
+            .enumerate()
+        {
+            sh.place(job(i as u32, due, w));
+            assert!(same(&sh), "after placing job {i}");
+        }
+        sh.retire(15);
+        assert_eq!(sh.window.len(), 3);
+        assert!(same(&sh));
+        sh.retire(100);
+        assert_eq!(sh.depth().to_bits(), EMPTY_DEPTH.to_bits());
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn first_pass_slack_floor_matches_the_max_form(
+            windows in proptest::collection::vec(
+                proptest::collection::vec((0u64..205_000, 1.0f64..800.0), 0..24),
+                1..5,
+            ),
+            fracs in proptest::collection::vec(0.0f64..1.0, 4..5),
+            cand in (0u64..205_000, 1.0f64..800.0),
+            capacity_ghz in 0.5f64..32.0,
+            floor_pick in 0usize..8,
+            floor_draw in -0.5f64..1.5,
+        ) {
+            // Releases at 5 ms; deadlines drawn from [0, 205 ms) put
+            // some window entries and candidates at zero slack.
+            let now_us = 5_000;
+            let job = Job {
+                id: JobId(0),
+                release: SimTime::from_micros(now_us),
+                deadline: SimTime::from_micros(cand.0),
+                demand: cand.1,
+                partial: true,
+            };
+            let quality = &ExpQuality::PAPER_DEFAULT;
+            let q_max = quality.max_job_quality(&job);
+            let floor = [-0.5, -0.0, 0.0, 0.05, 0.5, 1.0, 1.0 + f64::EPSILON, floor_draw][floor_pick];
+            let windows: Vec<InFlight> = windows
+                .into_iter()
+                .map(|mut w| {
+                    w.sort_by_key(|&(d, _)| d);
+                    w.into_iter().zip(0..).map(|((d, w), slot)| (d, w, slot)).collect()
+                })
+                .collect();
+            let ratios = || {
+                windows.iter().zip(&fracs).map(|(w, frac)| {
+                    slack_ratio(quality, &job, w, capacity_ghz * frac, q_max)
+                })
+            };
+            let max_form = ratios().fold(0.0, f64::max) >= floor;
+            prop_assert_eq!(clears_floor(ratios(), floor), max_form);
+        }
+
+        #[test]
+        fn first_pass_verdict_matches_the_max_form_on_raw_ratios(
+            picks in proptest::collection::vec((0usize..7, 0.0f64..2.0), 0..6),
+            floor_pick in 0usize..7,
+            floor_draw in -1.0f64..2.0,
+        ) {
+            // NaN, signed zeros and exact 1.0 ratios included: a NaN
+            // ratio never passes, and `0 >= floor` admits on its own.
+            let ratio = |(kind, x): (usize, f64)| {
+                [f64::NAN, -0.0, 0.0, 1.0, x, -x, f64::INFINITY][kind]
+            };
+            let floor = [-0.0, 0.0, 1.0, 0.05, -1.0, f64::INFINITY, floor_draw][floor_pick];
+            let max_form = picks.iter().copied().map(ratio).fold(0.0, f64::max) >= floor;
+            prop_assert_eq!(clears_floor(picks.iter().copied().map(ratio), floor), max_form);
+        }
     }
 
     /// The panic message [`dispatch_protected`] raises on entry for

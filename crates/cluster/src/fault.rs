@@ -259,6 +259,19 @@ impl FaultPlan {
         }
     }
 
+    /// The first instant after `t` at which `shard`'s fault state
+    /// changes (a window opens or closes), or [`SimTime::MAX`] if none
+    /// does: [`FaultPlan::fault_at`] is constant on `[t, next_change)`.
+    pub(crate) fn next_change(&self, shard: usize, t: SimTime) -> SimTime {
+        // Windows are sorted and disjoint, so their ends are sorted too.
+        let ws = &self.windows[shard];
+        match ws.get(ws.partition_point(|w| w.end <= t)) {
+            Some(w) if w.start <= t => w.end,
+            Some(w) => w.start,
+            None => SimTime::MAX,
+        }
+    }
+
     /// True when `shard` is inside a crash window at `t` (accepts no
     /// work).
     pub fn is_crashed(&self, shard: usize, t: SimTime) -> bool {
@@ -360,6 +373,36 @@ mod tests {
             );
         }
         assert!(p.crash_starts().is_empty());
+    }
+
+    #[test]
+    fn next_change_bounds_a_constant_fault_state() {
+        let w = |start: u64, end: u64, kind: FaultKind| FaultWindow {
+            start: s(start),
+            end: s(end),
+            kind,
+        };
+        let p = FaultPlan::none(2)
+            .with_window(0, w(2, 4, FaultKind::Crash))
+            .with_window(0, w(4, 5, FaultKind::Brownout { loss: 0.5 }))
+            .with_window(0, w(7, 8, FaultKind::Crash));
+        let changes: Vec<u64> = [0, 2, 3, 4, 5, 7]
+            .iter()
+            .map(|&t| p.next_change(0, s(t)).as_micros() / 1_000_000)
+            .collect();
+        assert_eq!(changes, vec![2, 4, 4, 5, 7, 8]);
+        assert_eq!(p.next_change(0, s(8)), SimTime::MAX);
+        assert_eq!(p.next_change(1, SimTime::ZERO), SimTime::MAX);
+        // The state is constant from `t` up to the change and differs
+        // right at it.
+        for t in (0..9_000).step_by(250).map(SimTime::from_millis) {
+            let next = p.next_change(0, t);
+            if next < SimTime::MAX {
+                let before = SimTime::from_micros(next.as_micros() - 1);
+                assert_eq!(p.fault_at(0, t), p.fault_at(0, before), "at {t:?}");
+                assert_ne!(p.fault_at(0, t), p.fault_at(0, next), "at {t:?}");
+            }
+        }
     }
 
     #[test]
